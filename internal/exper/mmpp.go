@@ -47,25 +47,25 @@ func MMPPTrace(seed int64, horizon time.Duration, states []MMPPState) ([]time.Du
 			return nil, fmt.Errorf("exper: mmpp: state %d has non-positive mean sojourn %v", i, s.MeanSojourn)
 		}
 	}
+	// Draws are compared with the time left before they become a
+	// time.Duration, which a tiny rate or huge sojourn would overflow.
 	rng := rand.New(rand.NewSource(seed))
 	var out []time.Duration
 	var t time.Duration
 	for state := 0; t < horizon; state = (state + 1) % len(states) {
 		s := states[state]
-		sojourn := time.Duration(rng.ExpFloat64() * float64(s.MeanSojourn))
-		end := t + sojourn
-		if end > horizon {
-			end = horizon
+		end := horizon
+		if sojourn := rng.ExpFloat64() * float64(s.MeanSojourn); sojourn < float64(horizon-t) {
+			end = t + time.Duration(sojourn)
 		}
 		if s.RatePerSec > 0 {
 			// Draw the state's Poisson arrivals over [t, end).
-			at := t
-			for {
-				gap := rng.ExpFloat64() / s.RatePerSec
-				at += time.Duration(gap * float64(time.Second))
-				if at >= end {
+			for at := t; ; {
+				gap := rng.ExpFloat64() / s.RatePerSec * float64(time.Second)
+				if !(gap < float64(end-at)) {
 					break
 				}
+				at += time.Duration(gap)
 				out = append(out, at)
 			}
 		}

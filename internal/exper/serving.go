@@ -2,8 +2,6 @@ package exper
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
 	"time"
 
 	"xartrek/internal/cluster"
@@ -11,7 +9,6 @@ import (
 	"xartrek/internal/elastic"
 	"xartrek/internal/faults"
 	"xartrek/internal/tenancy"
-	"xartrek/internal/workloads"
 )
 
 // ServingConfig describes one open-loop serving run: a topology under
@@ -38,8 +35,10 @@ type ServingConfig struct {
 	Seed int64
 	// Trace, when non-empty, lists explicit arrival offsets from time
 	// zero (trace-driven mode). Offsets at or past Duration are
-	// dropped; negative offsets are invalid. MMPPTrace generates
-	// bursty traces in this format.
+	// dropped; negative offsets are invalid. Offsets need not be
+	// sorted: the run replays them in time order and draws each
+	// request's application in that order. MMPPTrace generates bursty
+	// traces in this format.
 	Trace []time.Duration
 	// Policy selects the scheduler fleet's placement policy for this
 	// run (PolicyDefault, PolicyLinkAware, PolicyAffinity). Non-empty
@@ -71,24 +70,10 @@ type ServingConfig struct {
 	// pre-tenancy engine. Mutually exclusive with Trace.
 	Workload *tenancy.Spec `json:",omitempty"`
 
-	// forceTrace marks a sharded sub-run as trace-driven even when its
-	// trace slice is empty (a parent trace with fewer arrivals than
-	// shards leaves some shards empty): the empty slice means "no
-	// arrivals", not "fall back to Poisson".
-	forceTrace bool
-	// shardApps carries a sharded sub-run's pre-drawn application
-	// sequence, index-aligned with Trace: the parent draws the apps for
-	// its whole trace from its own seed and deals them round-robin with
-	// the offsets, so a trace-driven shard replays exactly the
-	// (time, app) pairs the unsharded engine would have injected. nil
-	// draws from Seed per arrival as usual.
-	shardApps []*workloads.App
-	// shardStride/shardPhase deal a Poisson stream: the sub-run walks
-	// the parent's full (gap, app) draw sequence from Seed and keeps
-	// only arrivals whose index is congruent to shardPhase mod
-	// shardStride. The shard fleet collectively replays the identical
-	// Poisson realization the unsharded engine injects, with O(1)
-	// arrival state per shard. shardStride 0 keeps every arrival.
+	// shardStride/shardPhase deal the arrival stream to a sharded
+	// sub-run: it walks the parent's whole stream and keeps the
+	// arrivals whose index is congruent to shardPhase mod shardStride
+	// (arrivalStream). shardStride 0 keeps every arrival.
 	shardStride int
 	shardPhase  int
 	// shardCk carries the campaign checkpoint context into the sharded
@@ -161,200 +146,6 @@ type ServingResult struct {
 	Tenancy *TenancyResult `json:",omitempty"`
 }
 
-// arrival is one pre-drawn request: when it enters and what it runs.
-type arrival struct {
-	at  time.Duration
-	app *workloads.App
-}
-
-// arrivals pre-draws the whole request stream so the simulation's
-// outcome is a pure function of the config, independent of execution
-// order.
-func (cfg ServingConfig) arrivals(pool []*workloads.App) ([]arrival, error) {
-	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("exper: serving %q: non-positive duration %v", cfg.Name, cfg.Duration)
-	}
-	if len(pool) == 0 {
-		return nil, fmt.Errorf("exper: serving %q: empty application pool", cfg.Name)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	var out []arrival
-	if len(cfg.Trace) > 0 || cfg.forceTrace {
-		for i, at := range cfg.Trace {
-			if at < 0 {
-				return nil, fmt.Errorf("exper: serving %q: negative trace offset %v", cfg.Name, at)
-			}
-			if at >= cfg.Duration {
-				continue
-			}
-			if cfg.shardApps != nil {
-				out = append(out, arrival{at: at, app: cfg.shardApps[i]})
-			} else {
-				out = append(out, arrival{at: at, app: pool[rng.Intn(len(pool))]})
-			}
-		}
-		// Lazy injection chains arrivals in slice order, so the slice
-		// must be time-ordered; traces may not be. The stable sort
-		// keeps same-instant entries in trace order — the order the
-		// eager injector processed them in.
-		sort.SliceStable(out, func(i, j int) bool { return out[i].at < out[j].at })
-		return out, nil
-	}
-	if cfg.RatePerSec <= 0 {
-		return nil, fmt.Errorf("exper: serving %q: non-positive rate %v", cfg.Name, cfg.RatePerSec)
-	}
-	var t time.Duration
-	for idx := 0; ; idx++ {
-		gap := rng.ExpFloat64() / cfg.RatePerSec
-		t += time.Duration(gap * float64(time.Second))
-		if t >= cfg.Duration {
-			return out, nil
-		}
-		app := pool[rng.Intn(len(pool))]
-		if cfg.shardStride == 0 || idx%cfg.shardStride == cfg.shardPhase {
-			out = append(out, arrival{at: t, app: app})
-		}
-	}
-}
-
-// arrivalSource yields the request stream one arrival instant at a
-// time: next returns the instant, every request arriving at it (the
-// returned slice is only valid until the following next call), and
-// ok=false at end of stream. offered reports how many requests the
-// source has yielded so far.
-type arrivalSource interface {
-	next() (at time.Duration, apps []*workloads.App, ok bool)
-	offered() int
-}
-
-// sliceSource replays a pre-drawn arrival slice, grouping runs of
-// equal instants — the exact-mode source, byte-identical to the eager
-// per-request walk it replaces.
-type sliceSource struct {
-	reqs  []arrival
-	i     int
-	batch []*workloads.App
-}
-
-func (s *sliceSource) next() (time.Duration, []*workloads.App, bool) {
-	if s.i >= len(s.reqs) {
-		return 0, nil, false
-	}
-	at := s.reqs[s.i].at
-	s.batch = s.batch[:0]
-	for ; s.i < len(s.reqs) && s.reqs[s.i].at == at; s.i++ {
-		s.batch = append(s.batch, s.reqs[s.i].app)
-	}
-	return at, s.batch, true
-}
-
-func (s *sliceSource) offered() int { return s.i }
-
-// poissonSource draws the Poisson stream lazily, one arrival ahead of
-// the simulation clock, in exactly the RNG order arrivals() pre-draws
-// it (gap, then application, per arrival; the arrival past the horizon
-// consumes only its gap). A million-request cell therefore sees the
-// same stream as the exact path while holding O(1) arrival state.
-type poissonSource struct {
-	rng     *rand.Rand
-	rate    float64
-	horizon time.Duration
-	pool    []*workloads.App
-	// stride/phase deal the stream for a sharded sub-run: every draw
-	// advances the full parent sequence but only arrivals with index
-	// congruent to phase mod stride are yielded (stride 0: all).
-	stride int
-	phase  int
-
-	t       time.Duration
-	idx     int
-	primed  bool
-	more    bool
-	nextAt  time.Duration
-	nextApp *workloads.App
-	n       int
-	batch   []*workloads.App
-}
-
-// draw advances the stream to its next kept arrival; ok=false past the
-// horizon. The horizon-crossing arrival consumes only its gap.
-func (s *poissonSource) draw() (time.Duration, *workloads.App, bool) {
-	for {
-		gap := s.rng.ExpFloat64() / s.rate
-		s.t += time.Duration(gap * float64(time.Second))
-		if s.t >= s.horizon {
-			return 0, nil, false
-		}
-		app := s.pool[s.rng.Intn(len(s.pool))]
-		idx := s.idx
-		s.idx++
-		if s.stride == 0 || idx%s.stride == s.phase {
-			return s.t, app, true
-		}
-	}
-}
-
-func (s *poissonSource) next() (time.Duration, []*workloads.App, bool) {
-	if !s.primed {
-		s.primed = true
-		s.nextAt, s.nextApp, s.more = s.draw()
-	}
-	if !s.more {
-		return 0, nil, false
-	}
-	at := s.nextAt
-	s.batch = append(s.batch[:0], s.nextApp)
-	// One-arrival look-ahead folds same-instant arrivals (gaps that
-	// round to zero) into one batch, as the Feed contract requires.
-	for {
-		a, app, ok := s.draw()
-		if !ok {
-			s.more = false
-			break
-		}
-		if a != at {
-			s.nextAt, s.nextApp = a, app
-			break
-		}
-		s.batch = append(s.batch, app)
-	}
-	s.n += len(s.batch)
-	return at, s.batch, true
-}
-
-func (s *poissonSource) offered() int { return s.n }
-
-// source builds the run's arrival source: pre-drawn (exact mode, and
-// always for traces — they are explicit and already materialised) or
-// streaming (sketch mode), with identical validation and an identical
-// resulting stream either way.
-func (cfg ServingConfig) source(pool []*workloads.App, sketch bool) (arrivalSource, error) {
-	if !sketch || len(cfg.Trace) > 0 || cfg.forceTrace {
-		reqs, err := cfg.arrivals(pool)
-		if err != nil {
-			return nil, err
-		}
-		return &sliceSource{reqs: reqs}, nil
-	}
-	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("exper: serving %q: non-positive duration %v", cfg.Name, cfg.Duration)
-	}
-	if len(pool) == 0 {
-		return nil, fmt.Errorf("exper: serving %q: empty application pool", cfg.Name)
-	}
-	if cfg.RatePerSec <= 0 {
-		return nil, fmt.Errorf("exper: serving %q: non-positive rate %v", cfg.Name, cfg.RatePerSec)
-	}
-	return &poissonSource{
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		rate:    cfg.RatePerSec,
-		horizon: cfg.Duration,
-		pool:    pool,
-		stride:  cfg.shardStride,
-		phase:   cfg.shardPhase,
-	}, nil
-}
-
 // RunServing executes one open-loop serving run. It is a thin adapter
 // over RunCampaign: the config becomes a one-cell campaign, so the
 // serving engine has exactly one execution path.
@@ -375,6 +166,8 @@ func runServing(arts *Artifacts, cfg ServingConfig) (ServingResult, error) {
 	if cfg.Name == "" {
 		cfg.Name = cfg.Topo.Name
 	}
+	// Sorted once here, so every shard walks one shared slice.
+	cfg.Trace = timeOrdered(cfg.Trace)
 	if cfg.Opts.Shards > 1 {
 		return runServingSharded(arts, cfg)
 	}
@@ -395,19 +188,16 @@ func runServingCore(arts *Artifacts, cfg ServingConfig, sink bool) (ServingResul
 	if err != nil {
 		return ServingResult{}, nil, nil, fmt.Errorf("exper: serving %q: %w", cfg.Name, err)
 	}
-	var src arrivalSource
 	var ten *tenantRun
 	if cfg.Workload.Enabled() {
 		ten, err = newTenantRun(&cfg, arts.Apps, sketch)
 		if err != nil {
 			return ServingResult{}, nil, nil, err
 		}
-		src = ten.src
-	} else {
-		src, err = cfg.source(arts.Apps, sketch)
-		if err != nil {
-			return ServingResult{}, nil, nil, err
-		}
+	}
+	src, err := newArrivalStream(cfg, arts.Apps, ten)
+	if err != nil {
+		return ServingResult{}, nil, nil, err
 	}
 	p, err := NewPlatformTopo(arts, cfg.Topo, opts)
 	if err != nil {
@@ -449,11 +239,10 @@ func runServingCore(arts *Artifacts, cfg ServingConfig, sink bool) (ServingResul
 	// event per distinct arrival instant places every request of that
 	// instant and then pulls the next instant from the source, so the
 	// simulator's event heap holds O(in-flight) entries instead of the
-	// whole campaign's O(total requests) — and in sketch mode the
-	// Poisson stream itself is never materialised, so at cluster scale
-	// a million-request cell's working set stays bounded. Batching an
-	// instant into one event keeps the eager injector's same-instant
-	// order: every placement of the instant happens before any of its
+	// whole campaign's O(total requests) — and the stream itself is
+	// never materialised, so at cluster scale a million-request cell's
+	// working set stays bounded. Batching an instant into one event
+	// keeps the eager injector's same-instant order: every placement of the instant happens before any of its
 	// launch events executes, which the `assigned` bookkeeping relies
 	// on to spread a burst (chaining arrivals one event each would let
 	// the first launches interleave from the third same-instant arrival
@@ -467,26 +256,26 @@ func runServingCore(arts *Artifacts, cfg ServingConfig, sink bool) (ServingResul
 			p.faults.observeClass(run.App, run.Elapsed())
 		}
 	}
+	// Each request's completion goes to its cohort's closure and the
+	// cohort's SLO class rides into the scheduler's placement context.
+	// A workload-free run is one anonymous classless cohort; a
+	// workload's closures add per-class digest and deadline accounting
+	// on top of the shared complete.
+	doneOf, classOf := []func(RunResult){complete}, []string{""}
 	if ten != nil {
 		ten.bind(complete)
+		doneOf, classOf = ten.done, ten.classOf
 	}
-	inject := func(apps []*workloads.App) {
+	inject := func(batch []tenancy.Arrival) {
 		// Each Feed batch is a fresh distinct instant, so the
 		// same-instant placement counters always start clean.
 		for n := range assigned {
 			assigned[n] = 0
 		}
 		now := p.Sim.Now()
-		for j, app := range apps {
-			// A workload-driven run routes each request's completion to
-			// its cohort's closure (per-class digest and deadline
-			// accounting on top of the shared complete) and carries the
-			// cohort's SLO class into the scheduler's placement context.
-			done, class := complete, ""
-			if ten != nil {
-				coh := ten.src.batchCoh[j]
-				done, class = ten.done[coh], ten.classOf[coh]
-			}
+		for _, a := range batch {
+			app := src.apps[a.Cohort][a.App]
+			done, class := doneOf[a.Cohort], classOf[a.Cohort]
 			// Entry balancing: the front end places each arriving
 			// request on the least-loaded x86 node at its arrival
 			// instant (ties toward the lower index — deterministic),
@@ -511,18 +300,18 @@ func runServingCore(arts *Artifacts, cfg ServingConfig, sink bool) (ServingResul
 	// Feed fires each returned callback before pulling the next instant,
 	// so one pending-batch slot (and one injector closure, reused for
 	// every instant) carries the whole stream — no per-instant closure.
-	var pending []*workloads.App
+	var pending []tenancy.Arrival
 	injectPending := func() { inject(pending) }
 	p.Sim.Feed(func() (time.Duration, func(), bool) {
-		at, apps, ok := src.next()
+		at, batch, ok := src.next()
 		if !ok {
 			return 0, nil, false
 		}
-		pending = apps
+		pending = batch
 		return at, injectPending, true
 	})
 	p.RunFor(cfg.Duration)
-	res.Offered = src.offered()
+	res.Offered = src.total()
 	res.Completed = lat.count()
 	res.ThroughputPerSec = float64(res.Completed) / cfg.Duration.Seconds()
 	lat.seal()
@@ -540,7 +329,7 @@ func runServingCore(arts *Artifacts, cfg ServingConfig, sink bool) (ServingResul
 	}
 	var tdigs *tenantDigests
 	if ten != nil {
-		res.Tenancy = ten.finalize()
+		res.Tenancy = ten.finalize(src.offered)
 		tdigs = ten.digests()
 	}
 	if sink && testLatencySink != nil && !sketch {

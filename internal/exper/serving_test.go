@@ -2,12 +2,14 @@ package exper
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"xartrek/internal/cluster"
+	"xartrek/internal/tenancy"
 )
 
 // servingCampaignConfigs is the three-size campaign the acceptance
@@ -121,22 +123,41 @@ func TestRunServingTraceDriven(t *testing.T) {
 
 func TestRunServingTraceUnsorted(t *testing.T) {
 	arts := testArtifacts(t)
-	run := func(trace []time.Duration) ServingResult {
-		r, err := RunServing(arts, ServingConfig{
-			Name: "unsorted", Topo: cluster.PaperTopology(), Mode: ModeVanillaX86,
+	run := func(topo cluster.Topology, shards int, trace []time.Duration) ServingResult {
+		cfg := ServingConfig{
+			Name: "unsorted", Topo: topo, Mode: ModeVanillaX86,
 			Duration: 60 * time.Second, Seed: 1, Trace: trace,
-		})
+		}
+		cfg.Opts.Shards = shards
+		r, err := RunServing(arts, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
-	// Lazy injection chains arrivals in slice order; an out-of-order
+	// Lazy injection walks arrivals in time order; an out-of-order
 	// trace must be reordered, not panic the simulator with a
-	// schedule-in-the-past. Same-instant entries keep trace order.
-	unsorted := run([]time.Duration{2 * time.Second, 0, time.Second, time.Second})
+	// schedule-in-the-past. The run is the run of the sorted trace,
+	// field for field, and the caller's slice is left as it was.
+	paper := cluster.PaperTopology()
+	trace := []time.Duration{2 * time.Second, 0, time.Second, time.Second}
+	unsorted := run(paper, 0, trace)
 	if unsorted.Offered != 4 || unsorted.Completed != 4 {
 		t.Fatalf("unsorted trace served %d/%d, want 4/4", unsorted.Completed, unsorted.Offered)
+	}
+	sorted := slices.Clone(trace)
+	slices.Sort(sorted)
+	if want := run(paper, 0, sorted); !reflect.DeepEqual(unsorted, want) {
+		t.Fatalf("unsorted trace result %+v, sorted copy %+v", unsorted, want)
+	}
+	if trace[0] != 2*time.Second {
+		t.Fatalf("caller's trace reordered: %v", trace)
+	}
+	// A sharded run deals the same time-ordered stream.
+	rack := cluster.ScaleOutTopology("rack4", 2, 2, 1)
+	whole, sharded := run(rack, 0, trace), run(rack, 2, trace)
+	if sharded.Offered != whole.Offered {
+		t.Fatalf("shards=2 offered %d, unsharded %d", sharded.Offered, whole.Offered)
 	}
 }
 
@@ -158,6 +179,50 @@ func TestRunServingRejectsBadConfigs(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("case %d: err = %v, want containing %q", i, err, tc.want)
 		}
+	}
+
+	// A tiny positive rate is valid, not bad: its gaps reach past the
+	// horizon (and past what time.Duration holds), which ends the
+	// stream. Each run returns a result; nothing panics or hangs.
+	mmpp, err := MMPPTrace(1, time.Minute, []MMPPState{
+		{RatePerSec: 1e-12, MeanSojourn: 5 * time.Second},
+		{RatePerSec: 4, MeanSojourn: 5 * time.Second},
+	})
+	if err != nil {
+		t.Fatalf("mmpp with a 1e-12 state: %v", err)
+	}
+	idle := &tenancy.Spec{Cohorts: []tenancy.Cohort{{
+		ID: "idle", RateFraction: 1, Class: tenancy.ClassBatch,
+		Arrival: tenancy.ArrivalSpec{Schedule: []tenancy.Window{{Duration: tenancy.Duration(time.Second), Factor: 1e-12}}},
+	}}}
+	tiny := ServingConfig{Topo: cluster.PaperTopology(), Mode: ModeXarTrek, RatePerSec: 1e-12, Duration: time.Minute}
+	sketch := tiny
+	sketch.Opts.LatencyMode = LatencySketch
+	scheduled := tiny
+	scheduled.RatePerSec, scheduled.Workload = 4, idle
+	bursty := tiny
+	bursty.RatePerSec, bursty.Trace = 0, mmpp
+	for _, tc := range []struct {
+		name    string
+		cfg     ServingConfig
+		offered int
+	}{
+		{"rate 1e-12 exact", tiny, 0},
+		{"rate 1e-12 sketch", sketch, 0},
+		{"schedule factor 1e-12", scheduled, 0},
+		{"mmpp state rate 1e-12", bursty, len(mmpp)},
+	} {
+		r, err := RunServing(arts, tc.cfg)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if r.Offered != tc.offered {
+			t.Errorf("%s: offered %d, want %d", tc.name, r.Offered, tc.offered)
+		}
+	}
+	if len(mmpp) == 0 || mmpp[0] < 0 {
+		t.Errorf("mmpp trace with a 1e-12 state = %v, want non-empty and non-negative", mmpp)
 	}
 }
 

@@ -5,10 +5,14 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
+
+	"xartrek/internal/tenancy"
+	"xartrek/internal/workloads"
 )
 
 // LoadTrace parses a recorded request log into the arrival-offset form
@@ -31,7 +35,7 @@ import (
 //
 // rescale multiplies the trace's arrival rate: 2 replays it twice as
 // fast, 0.5 at half speed; 0 and 1 leave it unchanged. The result is
-// sorted ascending (stably, so same-instant requests keep log order).
+// sorted ascending.
 func LoadTrace(r io.Reader, rescale float64) ([]time.Duration, error) {
 	if rescale < 0 {
 		return nil, fmt.Errorf("exper: trace: negative rescale %v", rescale)
@@ -128,6 +132,160 @@ func LoadTrace(r io.Reader, rescale float64) ([]time.Duration, error) {
 			offsets[i] = time.Duration(float64(off) / rescale)
 		}
 	}
-	sort.SliceStable(offsets, func(i, j int) bool { return offsets[i] < offsets[j] })
+	slices.Sort(offsets)
 	return offsets, nil
+}
+
+// timeOrdered returns trace sorted ascending, cloning it only when it
+// is not already sorted so shared (memoised) traces are never
+// mutated. Equal offsets are indistinguishable, so the sort needs no
+// stability.
+func timeOrdered(trace []time.Duration) []time.Duration {
+	if slices.IsSorted(trace) {
+		return trace
+	}
+	trace = slices.Clone(trace)
+	slices.Sort(trace)
+	return trace
+}
+
+// arrivalGen yields one run's arrivals one at a time in time order;
+// ok=false at end of stream. tenancy.Arrival.App indexes the cohort's
+// application table (arrivalStream.apps).
+type arrivalGen interface {
+	Next() (tenancy.Arrival, bool)
+}
+
+// poissonGen draws the anonymous Poisson stream: per arrival a gap,
+// then an application from the shared pool. The arrival past the
+// horizon consumes only its gap.
+type poissonGen struct {
+	rng     *rand.Rand
+	rate    float64
+	horizon time.Duration
+	pool    int
+	t       time.Duration
+}
+
+func (g *poissonGen) Next() (tenancy.Arrival, bool) {
+	gap := g.rng.ExpFloat64() / g.rate * float64(time.Second)
+	// Compare before converting: a gap past the horizon (a tiny rate)
+	// would overflow time.Duration.
+	if !(gap < float64(g.horizon-g.t)) {
+		return tenancy.Arrival{}, false
+	}
+	g.t += time.Duration(gap)
+	return tenancy.Arrival{At: g.t, App: g.rng.Intn(g.pool)}, true
+}
+
+// traceGen walks a time-ordered trace up to the horizon, drawing each
+// arrival's application from the shared pool as it goes.
+type traceGen struct {
+	rng     *rand.Rand
+	trace   []time.Duration
+	horizon time.Duration
+	pool    int
+}
+
+func (g *traceGen) Next() (tenancy.Arrival, bool) {
+	if len(g.trace) == 0 || g.trace[0] >= g.horizon {
+		return tenancy.Arrival{}, false
+	}
+	at := g.trace[0]
+	g.trace = g.trace[1:]
+	return tenancy.Arrival{At: at, App: g.rng.Intn(g.pool)}, true
+}
+
+// arrivalStream is the serving engine's one arrival path. It pulls a
+// generator one arrival ahead of the simulation clock, keeps a shard's
+// share of the round-robin deal (arrival index idx is kept when
+// idx%stride == phase; stride 0 keeps all), folds same-instant
+// arrivals into one batch as simtime.Feed requires, and counts what
+// each cohort offered. Every generator is lazy, so a million-request
+// cell holds O(cohorts) arrival state, and every shard walks the whole
+// stream, so the shard fleet replays exactly the arrivals the
+// unsharded run injects.
+type arrivalStream struct {
+	gen arrivalGen
+	// apps[c] is the application table cohort c's Arrival.App indexes.
+	apps          [][]*workloads.App
+	stride, phase int
+	idx           int
+	ahead         tenancy.Arrival
+	more          bool
+	// offered counts the arrivals yielded so far, per cohort.
+	offered []int
+	batch   []tenancy.Arrival
+}
+
+// newArrivalStream builds a run's stream: the workload's merged cohort
+// stream when ten is non-nil, otherwise one anonymous cohort drawing
+// from pool — replaying cfg.Trace (which must be time-ordered) when
+// set, Poisson at cfg.RatePerSec when not — dealt by the config's
+// shardStride/shardPhase.
+func newArrivalStream(cfg ServingConfig, pool []*workloads.App, ten *tenantRun) (*arrivalStream, error) {
+	s := &arrivalStream{stride: cfg.shardStride, phase: cfg.shardPhase}
+	switch {
+	case ten != nil:
+		s.gen, s.apps = ten.stream, ten.apps
+	case cfg.Duration <= 0:
+		return nil, fmt.Errorf("exper: serving %q: non-positive duration %v", cfg.Name, cfg.Duration)
+	case len(pool) == 0:
+		return nil, fmt.Errorf("exper: serving %q: empty application pool", cfg.Name)
+	case len(cfg.Trace) > 0:
+		if cfg.Trace[0] < 0 {
+			return nil, fmt.Errorf("exper: serving %q: negative trace offset %v", cfg.Name, cfg.Trace[0])
+		}
+		s.gen = &traceGen{rng: rand.New(rand.NewSource(cfg.Seed)), trace: cfg.Trace, horizon: cfg.Duration, pool: len(pool)}
+	case cfg.RatePerSec <= 0:
+		return nil, fmt.Errorf("exper: serving %q: non-positive rate %v", cfg.Name, cfg.RatePerSec)
+	default:
+		s.gen = &poissonGen{rng: rand.New(rand.NewSource(cfg.Seed)), rate: cfg.RatePerSec, horizon: cfg.Duration, pool: len(pool)}
+	}
+	if s.apps == nil {
+		s.apps = [][]*workloads.App{pool}
+	}
+	s.offered = make([]int, len(s.apps))
+	s.ahead, s.more = s.pull()
+	return s, nil
+}
+
+// pull returns the next arrival of this shard's share of the stream.
+func (s *arrivalStream) pull() (tenancy.Arrival, bool) {
+	for {
+		a, ok := s.gen.Next()
+		if !ok {
+			return a, false
+		}
+		idx := s.idx
+		s.idx++
+		if s.stride == 0 || idx%s.stride == s.phase {
+			return a, true
+		}
+	}
+}
+
+// next returns the next arrival instant and every arrival at it (the
+// slice is valid until the following call); ok=false at end of stream.
+func (s *arrivalStream) next() (time.Duration, []tenancy.Arrival, bool) {
+	if !s.more {
+		return 0, nil, false
+	}
+	at := s.ahead.At
+	s.batch = s.batch[:0]
+	for s.more && s.ahead.At == at {
+		s.batch = append(s.batch, s.ahead)
+		s.offered[s.ahead.Cohort]++
+		s.ahead, s.more = s.pull()
+	}
+	return at, s.batch, true
+}
+
+// total is the number of arrivals yielded so far.
+func (s *arrivalStream) total() int {
+	n := 0
+	for _, c := range s.offered {
+		n += c
+	}
+	return n
 }

@@ -7,6 +7,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"xartrek/internal/cluster"
+	"xartrek/internal/workloads"
 )
 
 func TestLoadTraceSecondsOffsets(t *testing.T) {
@@ -158,5 +161,105 @@ func TestLoadTraceEmptyLogIsEmptyTrace(t *testing.T) {
 	}
 	if len(trace) != 0 {
 		t.Fatalf("trace = %v, want empty", trace)
+	}
+}
+
+// TestArrivalStreamShardDealExact pins the one shard deal every source
+// kind goes through: for each stream and shard count, the round-robin
+// union of the per-shard arrival streams (shard i's k-th arrival is
+// the unsharded stream's arrival k·n+i) is the unsharded stream —
+// same instants, cohorts and applications — and the per-cohort offered
+// counts sum exactly to the unsharded ones.
+func TestArrivalStreamShardDealExact(t *testing.T) {
+	arts := testArtifacts(t)
+	base := ServingConfig{Name: "deal", Duration: 20 * time.Second, Seed: 2021}
+	mmpp, err := BurstyTrace(7, base.Duration, 60, 2*time.Second, 2, 3*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ties []time.Duration
+	for i := range 90 {
+		ties = append(ties, time.Duration(i*37%29)*500*time.Millisecond)
+	}
+	streams := []struct {
+		name string
+		cfg  func(*ServingConfig)
+	}{
+		{"poisson", func(c *ServingConfig) { c.RatePerSec = 40 }},
+		{"sorted trace", func(c *ServingConfig) { c.Trace = mmpp }},
+		{"unsorted trace with ties", func(c *ServingConfig) { c.Trace = ties }},
+		{"fewer arrivals than shards", func(c *ServingConfig) {
+			c.Trace = []time.Duration{25 * time.Second, time.Second, 40 * time.Second}
+		}},
+		{"two-cohort workload", func(c *ServingConfig) { c.RatePerSec = 40; c.Workload = testWorkload() }},
+	}
+	type arrival struct {
+		at     time.Duration
+		cohort int
+		app    *workloads.App
+	}
+	collect := func(t *testing.T, cfg ServingConfig) ([]arrival, []int) {
+		t.Helper()
+		var ten *tenantRun
+		var err error
+		if cfg.Workload.Enabled() {
+			if ten, err = newTenantRun(&cfg, arts.Apps, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := newArrivalStream(cfg, arts.Apps, ten)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []arrival
+		prev := time.Duration(-1)
+		for {
+			at, batch, ok := s.next()
+			if !ok {
+				break
+			}
+			if at <= prev || len(batch) == 0 {
+				t.Fatalf("batch at %v (%d arrivals) after batch at %v", at, len(batch), prev)
+			}
+			prev = at
+			for _, a := range batch {
+				if a.At != at {
+					t.Fatalf("arrival at %v in the batch at %v", a.At, at)
+				}
+				out = append(out, arrival{a.At, a.Cohort, s.apps[a.Cohort][a.App]})
+			}
+		}
+		if s.total() != len(out) {
+			t.Fatalf("total %d, yielded %d", s.total(), len(out))
+		}
+		return out, s.offered
+	}
+	for _, st := range streams {
+		t.Run(st.name, func(t *testing.T) {
+			cfg := base
+			st.cfg(&cfg)
+			cfg.Trace = timeOrdered(cfg.Trace)
+			whole, wholeOffered := collect(t, cfg)
+			if len(whole) == 0 {
+				t.Fatal("empty stream")
+			}
+			for _, n := range []int{2, 3, 5} {
+				offered := make([]int, len(wholeOffered))
+				for i, sub := range shardConfigs(cfg, make([]cluster.Topology, n)) {
+					part, partOffered := collect(t, sub)
+					for k, a := range part {
+						if j := k*n + i; j >= len(whole) || a != whole[j] {
+							t.Fatalf("%d shards: shard %d arrival %d = %+v, want the unsharded arrival %d", n, i, k, a, j)
+						}
+					}
+					for c, o := range partOffered {
+						offered[c] += o
+					}
+				}
+				if !reflect.DeepEqual(offered, wholeOffered) {
+					t.Fatalf("%d shards: per-cohort offered %v, unsharded %v", n, offered, wholeOffered)
+				}
+			}
+		})
 	}
 }
