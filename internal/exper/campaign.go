@@ -13,9 +13,9 @@ import (
 	"xartrek/internal/tenancy"
 )
 
-// Campaign cell kinds. Every Run* entry point of the package is a thin
-// adapter over a one-cell campaign of the matching kind; new scenarios
-// are added as spec data, not API surface.
+// Campaign cell kinds. A cell resolves its spec into Go values and
+// calls the engine its kind names below — the same function Go callers
+// call directly. New scenarios are added as spec data, not API surface.
 const (
 	// KindSet is a fixed-workload measurement (RunSet, Figures 3-5).
 	KindSet = "set"
@@ -242,23 +242,6 @@ type CellSpec struct {
 	Waves    int      `json:"waves,omitempty"`
 	PerWave  int      `json:"per_wave,omitempty"`
 	Interval Duration `json:"interval,omitempty"`
-
-	// Adapter-injected, pre-resolved arguments. The legacy Run*
-	// entry points route through RunCampaign by injecting their exact
-	// call arguments here, bypassing name resolution — which keeps
-	// their results byte-identical to the pre-campaign engine even for
-	// values a JSON spec cannot express (hand-built topologies,
-	// explicit app pointers).
-	servingCfg    *ServingConfig
-	setCfg        *setArgs
-	throughputCfg *throughputArgs
-	wavesCfg      *wavesArgs
-}
-
-// injected reports whether the cell carries adapter-resolved arguments
-// (which are validated by the runners themselves).
-func (c *CellSpec) injected() bool {
-	return c.servingCfg != nil || c.setCfg != nil || c.throughputCfg != nil || c.wavesCfg != nil
 }
 
 // CampaignSpec is a declarative, JSON-serializable experiment campaign:
@@ -298,12 +281,8 @@ func (s CampaignSpec) Validate() error {
 	return nil
 }
 
-// validate checks one cell's declaration. Adapter-injected cells carry
-// already-validated runner arguments and skip the spec-level checks.
+// validate checks one cell's declaration.
 func (c CellSpec) validate() error {
-	if c.injected() {
-		return nil
-	}
 	if c.Rate != 0 && len(c.Rates) > 0 {
 		return fmt.Errorf("rate and rates are mutually exclusive")
 	}
@@ -559,10 +538,6 @@ func (s CampaignSpec) Expand() ([]CellSpec, error) {
 	}
 	var out []CellSpec
 	for _, c := range s.Cells {
-		if c.injected() {
-			out = append(out, c)
-			continue
-		}
 		rates := c.Rates
 		if len(rates) == 0 {
 			rates = []float64{c.Rate}

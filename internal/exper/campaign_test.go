@@ -12,6 +12,7 @@ import (
 
 	"xartrek/internal/cluster"
 	"xartrek/internal/faults"
+	"xartrek/internal/tenancy"
 	"xartrek/internal/workloads"
 )
 
@@ -302,9 +303,9 @@ func TestParseModeRoundTripsEveryMode(t *testing.T) {
 	}
 }
 
-// The legacy entry points are adapters over RunCampaign; these tests
-// pin the other direction — a spec-declared cell (names resolved from
-// JSON-able data) reproduces the adapter's result byte-identically.
+// A spec-declared cell resolves names from JSON-able data and a direct
+// call to the matching Run* engine takes Go values; these tests pin
+// that the two independent paths produce byte-identical results.
 
 func TestSpecServingCellMatchesRunServing(t *testing.T) {
 	arts := testArtifacts(t)
@@ -701,11 +702,30 @@ func TestRunServingSweepEmptyConfigsIsNoOp(t *testing.T) {
 	}
 }
 
+func TestRunServingSweepSurfacesFailingConfigError(t *testing.T) {
+	arts := testArtifacts(t)
+	good := ServingConfig{Topo: cluster.PaperTopology(), Mode: ModeXarTrek, RatePerSec: 2,
+		Duration: 5 * time.Second, Seed: 1}
+	bad := good
+	bad.Name, bad.RatePerSec = "bad", 0
+	_, want := RunServing(arts, bad)
+	if want == nil {
+		t.Fatal("bad config accepted")
+	}
+	out, err := RunServingSweep(arts, []ServingConfig{good, bad, good})
+	if out != nil {
+		t.Fatalf("failed sweep returned results: %+v", out)
+	}
+	// The engine's own error, with no campaign or cell wrapping.
+	if err == nil || err.Error() != want.Error() {
+		t.Fatalf("err = %v, want %v", err, want)
+	}
+}
+
 func TestRunCampaignUnnamedSpecKeepsCellErrorContext(t *testing.T) {
 	arts := testArtifacts(t)
-	// A failing spec-declared cell keeps its cell index even when the
-	// campaign has no name (only adapter-injected cells surface errors
-	// verbatim).
+	// A failing cell keeps its cell index even when the campaign has no
+	// name.
 	_, err := RunCampaign(arts, CampaignSpec{Cells: []CellSpec{{
 		Kind: KindServing, Duration: Duration(time.Second),
 		Trace: []Duration{Duration(-time.Second)},
@@ -735,6 +755,15 @@ func TestRunCampaignResolutionErrors(t *testing.T) {
 		{CampaignSpec{Name: "xr", Cells: []CellSpec{{Kind: KindServing, Rate: 1,
 			Duration: Duration(time.Second), Topology: &TopologySpec{Kind: "scale-out", Name: "r", X86: 2, ARM: 2, ARMFar: 2}}}},
 			"does not take arm_near/arm_far"},
+		// Rates past what the 1 ns clock resolves fail fast instead of
+		// growing one same-instant batch without bound.
+		{CampaignSpec{Name: "fast", Cells: []CellSpec{{Kind: KindServing, Rate: 1e300,
+			Duration: Duration(time.Second), Options: &Options{LatencyMode: LatencySketch}}}}, "rate 1e+300 exceeds"},
+		{CampaignSpec{Name: "fast-mmpp", Cells: []CellSpec{{Kind: KindServing, Duration: Duration(time.Second),
+			MMPP: []MMPPStateSpec{{RatePerSec: 1e300, MeanSojourn: Duration(time.Second)}}}}}, "rate_per_sec 1e+300 exceeds"},
+		{CampaignSpec{Name: "fast-cohort", Cells: []CellSpec{{Kind: KindServing, Rate: 1e300,
+			Duration: Duration(time.Second), Workload: &tenancy.Spec{Cohorts: []tenancy.Cohort{{
+				ID: "all", RateFraction: 1, Class: tenancy.ClassBatch}}}}}}, `cohort "all": peak rate`},
 	}
 	for i, tc := range cases {
 		_, err := RunCampaign(arts, tc.spec, RunOpts{})

@@ -43,6 +43,9 @@ func MMPPTrace(seed int64, horizon time.Duration, states []MMPPState) ([]time.Du
 		if s.RatePerSec < 0 {
 			return nil, fmt.Errorf("exper: mmpp: state %d has negative rate %v", i, s.RatePerSec)
 		}
+		if s.RatePerSec > maxRatePerSec {
+			return nil, fmt.Errorf("exper: mmpp: state %d rate_per_sec %v exceeds %g/s, the most the 1 ns clock resolves", i, s.RatePerSec, maxRatePerSec)
+		}
 		if s.MeanSojourn <= 0 {
 			return nil, fmt.Errorf("exper: mmpp: state %d has non-positive mean sojourn %v", i, s.MeanSojourn)
 		}

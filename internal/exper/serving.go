@@ -8,6 +8,7 @@ import (
 	"xartrek/internal/core/sched"
 	"xartrek/internal/elastic"
 	"xartrek/internal/faults"
+	"xartrek/internal/par"
 	"xartrek/internal/tenancy"
 )
 
@@ -146,25 +147,17 @@ type ServingResult struct {
 	Tenancy *TenancyResult `json:",omitempty"`
 }
 
-// RunServing executes one open-loop serving run. It is a thin adapter
-// over RunCampaign: the config becomes a one-cell campaign, so the
-// serving engine has exactly one execution path.
-func RunServing(arts *Artifacts, cfg ServingConfig) (ServingResult, error) {
-	rep, err := RunCampaign(arts, CampaignSpec{Cells: []CellSpec{{Kind: KindServing, servingCfg: &cfg}}}, RunOpts{})
-	if err != nil {
-		return ServingResult{}, err
-	}
-	return *rep.Cells[0].Serving, nil
-}
-
-// runServing is the serving engine behind the RunServing adapter and
-// the campaign runner's serving/policy-comparison cells. Cells with
+// RunServing executes one open-loop serving run; campaign serving,
+// policy-comparison and knee cells call it too. Configs with
 // Opts.Shards > 1 route to the sharded engine (sharded.go); everything
 // else — including shards=1 — takes the single-timeline path below,
 // byte-identical to the pre-shard engine.
-func runServing(arts *Artifacts, cfg ServingConfig) (ServingResult, error) {
+func RunServing(arts *Artifacts, cfg ServingConfig) (ServingResult, error) {
 	if cfg.Name == "" {
 		cfg.Name = cfg.Topo.Name
+	}
+	if cfg.Opts.Shards < 0 {
+		return ServingResult{}, fmt.Errorf("exper: serving %q: options.shards %d must be at least 1", cfg.Name, cfg.Opts.Shards)
 	}
 	// Sorted once here, so every shard walks one shared slice.
 	cfg.Trace = timeOrdered(cfg.Trace)
@@ -347,24 +340,17 @@ func runServingCore(arts *Artifacts, cfg ServingConfig, sink bool) (ServingResul
 // RunServingSweep fans a serving campaign across the worker pool: each
 // config is an isolated simulation, results land in config order, and
 // a fixed seed yields byte-identical output regardless of GOMAXPROCS.
-// It is a thin adapter over RunCampaign with one serving cell per
-// config.
+// A failing config fails the sweep with the lowest failing index's
+// error, unwrapped.
 func RunServingSweep(arts *Artifacts, cfgs []ServingConfig) ([]ServingResult, error) {
-	if len(cfgs) == 0 {
-		return make([]ServingResult, 0), nil
-	}
-	cells := make([]CellSpec, len(cfgs))
-	for i := range cfgs {
-		cfg := cfgs[i]
-		cells[i] = CellSpec{Kind: KindServing, servingCfg: &cfg}
-	}
-	rep, err := RunCampaign(arts, CampaignSpec{Cells: cells}, RunOpts{})
+	out := make([]ServingResult, len(cfgs))
+	err := par.ForEach(len(cfgs), func(i int) error {
+		r, err := RunServing(arts, cfgs[i])
+		out[i] = r
+		return err
+	})
 	if err != nil {
 		return nil, err
-	}
-	out := make([]ServingResult, len(rep.Cells))
-	for i, c := range rep.Cells {
-		out[i] = *c.Serving
 	}
 	return out, nil
 }

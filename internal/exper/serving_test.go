@@ -173,6 +173,22 @@ func TestRunServingRejectsBadConfigs(t *testing.T) {
 			Trace: []time.Duration{-time.Second}}, "negative trace"},
 		{ServingConfig{Topo: cluster.Topology{Name: "bad"}, Mode: ModeXarTrek, RatePerSec: 1,
 			Duration: time.Second}, "no nodes"},
+		{ServingConfig{Topo: cluster.PaperTopology(), Mode: ModeXarTrek, RatePerSec: 1,
+			Duration: time.Second, Opts: Options{Shards: -1}}, "options.shards -1"},
+		// Past 1e9/s the 1 ns clock stops advancing; each source rejects
+		// such a rate instead of growing one batch without bound.
+		{ServingConfig{Topo: cluster.PaperTopology(), Mode: ModeXarTrek, RatePerSec: 1e300,
+			Duration: time.Second}, "rate 1e+300 exceeds"},
+		{ServingConfig{Topo: cluster.PaperTopology(), Mode: ModeXarTrek, RatePerSec: 1e300,
+			Duration: time.Second, Opts: Options{LatencyMode: LatencySketch}}, "rate 1e+300 exceeds"},
+		{ServingConfig{Topo: cluster.PaperTopology(), Mode: ModeXarTrek, RatePerSec: 1e6,
+			Duration: time.Second, Workload: &tenancy.Spec{Cohorts: []tenancy.Cohort{{
+				ID: "burst", RateFraction: 1, Class: tenancy.ClassBatch,
+				Arrival: tenancy.ArrivalSpec{Schedule: []tenancy.Window{
+					{Duration: tenancy.Duration(time.Second), Factor: 1},
+					{Duration: tenancy.Duration(time.Second), Factor: 1e4},
+				}},
+			}}}}, `cohort "burst": peak rate 1e+10`},
 	}
 	for i, tc := range cases {
 		_, err := RunServing(arts, tc.cfg)
@@ -223,6 +239,10 @@ func TestRunServingRejectsBadConfigs(t *testing.T) {
 	}
 	if len(mmpp) == 0 || mmpp[0] < 0 {
 		t.Errorf("mmpp trace with a 1e-12 state = %v, want non-empty and non-negative", mmpp)
+	}
+	if _, err := MMPPTrace(1, time.Second, []MMPPState{{RatePerSec: 1e300, MeanSojourn: time.Second}}); err == nil ||
+		!strings.Contains(err.Error(), "rate_per_sec 1e+300 exceeds") {
+		t.Errorf("mmpp state rate 1e300: err = %v, want rejection", err)
 	}
 }
 

@@ -144,6 +144,22 @@ func newTenantRun(cfg *ServingConfig, pool []*workloads.App, sketch bool) (*tena
 	if err != nil {
 		return nil, fmt.Errorf("exper: serving %q: %w", cfg.Name, err)
 	}
+	// Each cohort draws at the aggregate rate × its fraction × the
+	// schedule factor in force, so its peak rate must stay within what
+	// the clock resolves (maxRatePerSec).
+	for i := range spec.Cohorts {
+		c := &spec.Cohorts[i]
+		factor := 1.0
+		for j, w := range c.Arrival.Schedule {
+			if j == 0 || w.Factor > factor {
+				factor = w.Factor
+			}
+		}
+		if peak := cfg.RatePerSec * c.RateFraction * factor; peak > maxRatePerSec {
+			return nil, fmt.Errorf("exper: serving %q: workload cohort %q: peak rate %v/s (rate × rate_fraction × largest schedule factor) exceeds %g/s, the most the 1 ns clock resolves",
+				cfg.Name, c.ID, peak, maxRatePerSec)
+		}
+	}
 	return t, nil
 }
 

@@ -156,6 +156,13 @@ type arrivalGen interface {
 	Next() (tenancy.Arrival, bool)
 }
 
+// maxRatePerSec is the highest arrival rate the engines accept (Poisson
+// rate, MMPP state rate, a cohort's peak rate). Arrival instants are
+// whole nanoseconds, so above 1e9/s most gaps truncate to zero: the
+// stream stops advancing the clock and one same-instant batch grows
+// without bound.
+const maxRatePerSec = 1e9
+
 // poissonGen draws the anonymous Poisson stream: per arrival a gap,
 // then an application from the shared pool. The arrival past the
 // horizon consumes only its gap.
@@ -239,6 +246,8 @@ func newArrivalStream(cfg ServingConfig, pool []*workloads.App, ten *tenantRun) 
 		s.gen = &traceGen{rng: rand.New(rand.NewSource(cfg.Seed)), trace: cfg.Trace, horizon: cfg.Duration, pool: len(pool)}
 	case cfg.RatePerSec <= 0:
 		return nil, fmt.Errorf("exper: serving %q: non-positive rate %v", cfg.Name, cfg.RatePerSec)
+	case cfg.RatePerSec > maxRatePerSec:
+		return nil, fmt.Errorf("exper: serving %q: rate %v exceeds %g/s, the most the 1 ns clock resolves", cfg.Name, cfg.RatePerSec, maxRatePerSec)
 	default:
 		s.gen = &poissonGen{rng: rand.New(rand.NewSource(cfg.Seed)), rate: cfg.RatePerSec, horizon: cfg.Duration, pool: len(pool)}
 	}

@@ -42,10 +42,11 @@
 //	fmt.Println(rep.Cells[0].Metrics["p99_ms"])
 //
 // The same spec runs from a JSON file via ParseCampaign or
-// `xarbench -campaign spec.json`; see examples/campaigns. Every
-// classic Run* entry point (RunSet, RunThroughput, RunWaves,
-// RunServing, RunServingSweep, RunPolicyComparison) is a documented
-// thin adapter over a one-cell campaign.
+// `xarbench -campaign spec.json`; see examples/campaigns. The classic
+// Run* entry points (RunSet, RunThroughput, RunWaves, RunServing,
+// RunServingSweep, RunPolicyComparison) are the engines themselves:
+// each campaign cell kind calls the matching one, so a spec cell and a
+// direct call with the same values return the same result.
 package xartrek
 
 import (
@@ -241,7 +242,7 @@ const (
 // deterministically into cells, cells fan across CPU cores, results
 // land in expansion order (byte-identical for a fixed spec regardless
 // of GOMAXPROCS), and RunOpts.OnCell streams completed cells in that
-// order. Every Run* entry point below is a thin adapter over it.
+// order. Each cell kind runs the matching Run* entry point below.
 func RunCampaign(arts *Artifacts, spec CampaignSpec, opts RunOpts) (*Report, error) {
 	return exper.RunCampaign(arts, spec, opts)
 }
@@ -348,8 +349,7 @@ func BurstyTrace(seed int64, horizon time.Duration, burstRate float64, burstLen 
 // RunPolicyComparison runs one serving configuration once per named
 // placement policy (see Policies) with everything else held fixed,
 // attributing tail-latency and churn differences to placement alone.
-// It is a thin adapter over RunCampaign (one serving cell per policy;
-// spec files express the same sweep as one KindPolicyComparison cell).
+// Spec files express the same sweep as one KindPolicyComparison cell.
 func RunPolicyComparison(arts *Artifacts, cfg ServingConfig, policies []string) ([]ServingResult, error) {
 	return exper.RunPolicyComparison(arts, cfg, policies)
 }
@@ -359,15 +359,15 @@ func Policies() []string { return exper.Policies() }
 
 // RunServing executes one open-loop serving run: Poisson (or
 // trace-driven) request arrivals against a chosen topology, reporting
-// throughput and p50/p95/p99 completion latency. It is a thin adapter
-// over RunCampaign (one KindServing cell).
+// throughput and p50/p95/p99 completion latency. KindServing cells run
+// it.
 func RunServing(arts *Artifacts, cfg ServingConfig) (ServingResult, error) {
 	return exper.RunServing(arts, cfg)
 }
 
 // RunServingSweep fans a serving campaign across CPU cores with
-// deterministic, GOMAXPROCS-independent output. It is a thin adapter
-// over RunCampaign (one KindServing cell per config).
+// deterministic, GOMAXPROCS-independent output. A failing config
+// fails the sweep with the lowest failing index's error.
 func RunServingSweep(arts *Artifacts, cfgs []ServingConfig) ([]ServingResult, error) {
 	return exper.RunServingSweep(arts, cfgs)
 }
@@ -394,8 +394,8 @@ func DialScheduler(addr string) (*SchedTCPClient, error) { return sched.Dial(add
 
 // RunSet launches an application set at time zero under the mode with
 // background load topped up to totalLoad processes, returning the
-// set's average execution time (Figures 3-5's measurement). It is a
-// thin adapter over RunCampaign (one KindSet cell).
+// set's average execution time (Figures 3-5's measurement). KindSet
+// cells run it.
 func RunSet(arts *Artifacts, set []*App, mode Mode, totalLoad int) (SetResult, error) {
 	return exper.RunSet(arts, set, mode, totalLoad)
 }
@@ -406,14 +406,13 @@ func RandomSet(rng *rand.Rand, pool []*App, n int) []*App {
 }
 
 // RunThroughput measures multi-image face-detection throughput under a
-// fixed background load (Figure 6). It is a thin adapter over
-// RunCampaign (one KindThroughput cell).
+// fixed background load (Figure 6). KindThroughput cells run it.
 func RunThroughput(arts *Artifacts, app *App, mode Mode, load int, duration time.Duration, maxImages int) (ThroughputResult, error) {
 	return exper.RunThroughput(arts, app, mode, load, duration, maxImages)
 }
 
-// RunWaves runs the periodic wave workload (Figure 7). It is a thin
-// adapter over RunCampaign (one KindWaves cell).
+// RunWaves runs the periodic wave workload (Figure 7). KindWaves cells
+// run it.
 func RunWaves(arts *Artifacts, mode Mode, waves, perWave int, interval time.Duration, seed int64) (WaveResult, error) {
 	return exper.RunWaves(arts, mode, waves, perWave, interval, seed)
 }
