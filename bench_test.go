@@ -524,9 +524,12 @@ func benchmarkDecide(b *testing.B, policy sched.PlacementPolicy) {
 	for i := range devs {
 		devs[i] = &benchDevice{resident: true}
 	}
+	state := sched.NewFleetState(len(loads)+1, nodes)
+	for i, l := range loads {
+		state.SetLoad(nodes[i], l)
+	}
 	fleet := sched.Fleet{
-		ARMNodes:  nodes,
-		NodeLoad:  func(id int) int { return loads[id-1] },
+		State:     state,
 		NodeCores: func(int) int { return 96 },
 		MigrationCost: func(_ string, id int) time.Duration {
 			return time.Duration(id) * 10 * time.Millisecond
@@ -554,6 +557,51 @@ func BenchmarkDecideLinkAware(b *testing.B) { benchmarkDecide(b, sched.LinkAware
 func BenchmarkDecideAffinity(b *testing.B) {
 	benchmarkDecide(b, sched.NewAffinityPolicy(map[string]int{"KNL": 2}))
 }
+
+// benchmarkDecideRack measures one Algorithm 2 decision per iteration
+// on a rack256-sized fleet — 192 ARM nodes, 4 cards, DefaultPolicy —
+// at the given host load. Below ARMThr (and FPGAThr) the decision
+// places nothing; above ARMThr it picks the least-loaded ARM node,
+// which the fleet state's min-load index answers without visiting the
+// 192 candidates.
+func benchmarkDecideRack(b *testing.B, load int) {
+	tab := threshold.NewTable()
+	if err := tab.Add(threshold.Record{
+		App: "app", Kernel: "KNL", FPGAThr: 60, ARMThr: 16,
+		X86Exec:  175 * time.Millisecond,
+		ARMExec:  642 * time.Millisecond,
+		FPGAExec: 332 * time.Millisecond,
+	}); err != nil {
+		b.Fatal(err)
+	}
+	const nX86, nARM = 64, 192
+	nodes := make([]int, nARM)
+	for i := range nodes {
+		nodes[i] = nX86 + i
+	}
+	state := sched.NewFleetState(nX86+nARM, nodes)
+	for i, id := range nodes {
+		state.SetLoad(id, 1+(i*37)%11)
+	}
+	devs := make([]sched.Device, 4)
+	for i := range devs {
+		devs[i] = &benchDevice{resident: true}
+	}
+	srv := sched.NewFleetServer(tab, func() int { return load }, sched.Fleet{State: state, Devices: devs}, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := srv.Decide("app", "KNL"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecideRack* track the per-request decision cost at rack
+// scale (BENCH.md): below ARMThr nothing is placed, above it the ARM
+// pick reads the fleet state's index.
+func BenchmarkDecideRackBelowARMThr(b *testing.B) { benchmarkDecideRack(b, 10) }
+func BenchmarkDecideRackAboveARMThr(b *testing.B) { benchmarkDecideRack(b, 40) }
 
 // benchmarkServingPolicy measures the cross-rack policy-comparison
 // cell (per-kernel images, slow uplink, saturating load) under one

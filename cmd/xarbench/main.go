@@ -13,6 +13,7 @@
 //	xarbench -all -runs 3              # cheaper randomized experiments
 //	xarbench -campaign spec.json       # run a declarative campaign spec
 //	xarbench -campaign spec.json -checkpoint dir/  # resumable campaign
+//	xarbench -campaign spec.json -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // The serving campaign drives the standard Poisson grid, then a
 // placement-policy comparison (default vs link-aware vs affinity on a
@@ -34,6 +35,11 @@
 // after an interruption (crash, kill, ^C) resumes from the completed
 // prefix and produces the same output an uninterrupted run would have.
 //
+// -cpuprofile and -memprofile write pprof profiles of the whole run
+// (CPU samples, and allocations as of the end of the run) for
+// `go tool pprof`; the report on stdout is the same with or without
+// them.
+//
 // Absolute times come from this repository's calibrated models, not
 // the authors' hardware; EXPERIMENTS.md records paper-vs-measured for
 // every row and series.
@@ -45,6 +51,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"xartrek/internal/cluster"
@@ -63,7 +71,7 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("xarbench", flag.ContinueOnError)
 	table := fs.Int("table", 0, "regenerate one table (1-4)")
 	figure := fs.Int("figure", 0, "regenerate one figure (3-10)")
@@ -74,6 +82,8 @@ func run(args []string, out io.Writer) error {
 	checkpoint := fs.String("checkpoint", "", "checkpoint directory for -campaign (resume an interrupted run)")
 	all := fs.Bool("all", false, "regenerate everything")
 	runs := fs.Int("runs", 10, "repetitions for randomized experiments")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memprofile := fs.String("memprofile", "", "write an allocation profile at the end of the run to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -83,6 +93,24 @@ func run(args []string, out io.Writer) error {
 	if !*all && *table == 0 && *figure == 0 && !*serving && *campaign == "" {
 		fs.Usage()
 		return fmt.Errorf("pick -all, -table N, -figure N, -serving, or -campaign spec.json")
+	}
+	if *cpuprofile != "" {
+		stop, err := startCPUProfile(*cpuprofile)
+		if err != nil {
+			return err
+		}
+		defer func() {
+			if serr := stop(); err == nil {
+				err = serr
+			}
+		}()
+	}
+	if *memprofile != "" {
+		defer func() {
+			if merr := writeAllocProfile(*memprofile); err == nil {
+				err = merr
+			}
+		}()
 	}
 
 	apps, err := workloads.Registry()
@@ -154,6 +182,44 @@ func run(args []string, out io.Writer) error {
 	}
 	if !matched {
 		return fmt.Errorf("no experiment matches the requested table/figure")
+	}
+	return nil
+}
+
+// startCPUProfile starts CPU profiling into path and returns the
+// function that stops it and closes the file.
+func startCPUProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("-cpuprofile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("-cpuprofile: %w", err)
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("-cpuprofile: %w", err)
+		}
+		return nil
+	}, nil
+}
+
+// writeAllocProfile writes the allocation profile (every allocation
+// since the process started, plus the live heap after a GC) to path.
+func writeAllocProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("-memprofile: %w", err)
+	}
+	runtime.GC()
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return fmt.Errorf("-memprofile: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("-memprofile: %w", err)
 	}
 	return nil
 }

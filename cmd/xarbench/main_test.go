@@ -261,3 +261,39 @@ func TestRunCampaignKneeUnbracketed(t *testing.T) {
 		t.Fatalf("err = %v, want knee bracket error", err)
 	}
 }
+
+// TestProfileFlags runs one table with -cpuprofile and -memprofile:
+// both files must hold gzipped pprof data, the report must match the
+// run without the flags byte for byte, and an unwritable path must be
+// refused before anything runs.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	var plain, profiled strings.Builder
+	if err := run([]string{"-table", "2"}, &plain); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if err := run([]string{"-table", "2", "-cpuprofile", cpu, "-memprofile", mem}, &profiled); err != nil {
+		t.Fatalf("run with profiles: %v", err)
+	}
+	if plain.String() != profiled.String() {
+		t.Fatalf("profiling changed the report:\n--- plain ---\n%s\n--- profiled ---\n%s", plain.String(), profiled.String())
+	}
+	for _, path := range []string{cpu, mem} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+			t.Fatalf("%s is not a gzipped pprof profile (%d bytes)", filepath.Base(path), len(data))
+		}
+	}
+	bad := filepath.Join(dir, "missing", "cpu.pprof")
+	var out strings.Builder
+	if err := run([]string{"-table", "2", "-cpuprofile", bad}, &out); err == nil || !strings.Contains(err.Error(), "-cpuprofile") {
+		t.Fatalf("unwritable -cpuprofile: err = %v", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("run started despite the unwritable profile path:\n%s", out.String())
+	}
+}

@@ -92,8 +92,12 @@ func (l *Link) Queued() int { return l.PS.Active() }
 // link (LinkSpec overrides included).
 func (l *Link) Transfer(n int64) time.Duration { return l.Net.TransferTime(n) }
 
-// linkKey identifies an unordered node pair by index.
+// linkKey identifies an unordered node pair by index (lo < hi).
 type linkKey struct{ lo, hi int }
+
+// slot is the pair's position in the triangular link table: pairs are
+// laid out by their higher index, (0,1), (0,2), (1,2), (0,3), ...
+func (k linkKey) slot() int { return k.hi*(k.hi-1)/2 + k.lo }
 
 // Cluster is a topology materialised on a simulator: every node gets a
 // processor-sharing run queue and every node pair a shared link.
@@ -113,7 +117,10 @@ type Cluster struct {
 	Eth popcorn.NetModel
 	// EthLink is the host-ARM shared link, nil without an ARM node.
 	EthLink *simtime.PSServer
-	links   map[linkKey]*Link
+	// links holds every node pair's link in a triangular table indexed
+	// by linkKey.slot — a slice read instead of a map hash on every
+	// transfer and every link-aware score.
+	links []*Link
 	// byArch caches the per-ISA-class node lists (topology order).
 	// Topologies are immutable once materialised, so the serving front
 	// end's per-arrival least-loaded scan reads a prebuilt slice
@@ -136,7 +143,7 @@ func FromTopology(sim *simtime.Simulator, topo Topology) (*Cluster, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{Sim: sim, Topo: topo, links: make(map[linkKey]*Link), byArch: make(map[isa.Arch][]*Node)}
+	c := &Cluster{Sim: sim, Topo: topo, byArch: make(map[isa.Arch][]*Node)}
 	for i, spec := range topo.Nodes {
 		m, err := spec.machine()
 		if err != nil {
@@ -163,14 +170,16 @@ func FromTopology(sim *simtime.Simulator, topo Topology) (*Cluster, error) {
 		a, b := byName[l.A], byName[l.B]
 		overrides[pairKey(a, b)] = l.Net
 	}
+	n := len(c.Nodes)
+	c.links = make([]*Link, n*(n-1)/2)
 	for i := range c.Nodes {
-		for j := i + 1; j < len(c.Nodes); j++ {
+		for j := i + 1; j < n; j++ {
 			key := pairKey(i, j)
 			net := topo.DefaultNet
 			if o, ok := overrides[key]; ok {
 				net = o
 			}
-			c.links[key] = &Link{Net: net, PS: simtime.NewPSServer(sim, 1)}
+			c.links[key.slot()] = &Link{Net: net, PS: simtime.NewPSServer(sim, 1)}
 		}
 	}
 	c.Eth = topo.DefaultNet
@@ -195,7 +204,7 @@ func (c *Cluster) Link(a, b *Node) *Link {
 	if a.Index == b.Index {
 		panic(fmt.Sprintf("cluster: self-link on node %s", a.Name))
 	}
-	return c.links[pairKey(a.Index, b.Index)]
+	return c.links[pairKey(a.Index, b.Index).slot()]
 }
 
 // TransferEstimate is the cluster's transfer-cost query surface:

@@ -106,3 +106,39 @@ func TestLinkQueuedTracksInFlightTransfers(t *testing.T) {
 		t.Fatalf("after drain: done=%d queued=%d", done, link.Queued())
 	}
 }
+
+// The triangular link table gives every unordered pair its own link,
+// the same one from either end, with overrides landing on their pair.
+func TestLinkTableCoversEveryPairOnce(t *testing.T) {
+	topo := ScaleOutTopology("t", 3, 4, 0)
+	topo.Links = []LinkSpec{{A: topo.Nodes[5].Name, B: topo.Nodes[2].Name, Net: slowNet()}}
+	c, err := FromTopology(simtime.New(), topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[*Link]bool)
+	for i, a := range c.Nodes {
+		for j, b := range c.Nodes {
+			if i == j {
+				continue
+			}
+			l := c.Link(a, b)
+			if l == nil || l != c.Link(b, a) {
+				t.Fatalf("pair (%d,%d): link %p, reverse %p", i, j, l, c.Link(b, a))
+			}
+			wantSlow := (i == 2 && j == 5) || (i == 5 && j == 2)
+			if got := l.Net == slowNet(); got != wantSlow {
+				t.Fatalf("pair (%d,%d): override applied = %v, want %v", i, j, got, wantSlow)
+			}
+			if i < j {
+				if seen[l] {
+					t.Fatalf("pair (%d,%d) shares a link with another pair", i, j)
+				}
+				seen[l] = true
+			}
+		}
+	}
+	if n := len(c.Nodes); len(seen) != n*(n-1)/2 {
+		t.Fatalf("%d distinct links, want %d", len(seen), n*(n-1)/2)
+	}
+}

@@ -38,15 +38,11 @@ func (DeadlinePolicy) PickARMNode(ctx PlacementContext, f *Fleet) (int, bool) {
 		return LinkAwarePolicy{}.PickARMNode(ctx, f)
 	case "batch":
 		best, bestLoad, found := 0, 0, false
-		for _, id := range f.ARMNodes {
+		for _, id := range f.ARMNodes() {
 			if !f.NodeUp(id) {
 				continue
 			}
-			l := 0
-			if f.NodeLoad != nil {
-				l = f.NodeLoad(id)
-			}
-			if !found || l > bestLoad {
+			if l := f.NodeLoad(id); !found || l > bestLoad {
 				best, bestLoad, found = id, l, true
 			}
 		}

@@ -18,8 +18,7 @@ func TestDeadlineCriticalUsesLinkAwareScore(t *testing.T) {
 	costs := map[int]time.Duration{1: 100 * time.Millisecond, 2: 2 * time.Second}
 	loads := map[int]int{1: 5, 2: 1}
 	f := &Fleet{
-		ARMNodes:      []int{1, 2},
-		NodeLoad:      func(id int) int { return loads[id] },
+		State:         armState(loads, 1, 2),
 		NodeCores:     func(int) int { return 96 },
 		MigrationCost: func(_ string, id int) time.Duration { return costs[id] },
 		LinkQueue:     func(int) int { return 0 },
@@ -33,8 +32,7 @@ func TestDeadlineCriticalUsesLinkAwareScore(t *testing.T) {
 func TestDeadlineBatchPacksMostLoadedNode(t *testing.T) {
 	loads := map[int]int{1: 7, 3: 2, 5: 7}
 	f := &Fleet{
-		ARMNodes: []int{1, 3, 5},
-		NodeLoad: func(id int) int { return loads[id] },
+		State: armState(loads, 1, 3, 5),
 	}
 	// Batch packs onto the busiest node (ties toward fleet order),
 	// keeping node 3 free for the next critical arrival.
@@ -50,11 +48,8 @@ func TestDeadlineBatchPacksMostLoadedNode(t *testing.T) {
 
 func TestDeadlineBatchSkipsDownNodes(t *testing.T) {
 	loads := map[int]int{1: 9, 2: 1}
-	f := &Fleet{
-		ARMNodes:      []int{1, 2},
-		NodeLoad:      func(id int) int { return loads[id] },
-		NodeAvailable: func(id int) bool { return id != 1 },
-	}
+	f := &Fleet{State: armState(loads, 1, 2)}
+	f.State.SetUp(1, false)
 	node, ok := DeadlinePolicy{}.PickARMNode(classCtx("KNL", "batch"), f)
 	if !ok || node != 2 {
 		t.Fatalf("pick = %d/%v, want surviving node 2", node, ok)
@@ -80,8 +75,7 @@ func TestDeadlineBatchNeverSpendsReconfig(t *testing.T) {
 func TestDeadlineClasslessMatchesDefault(t *testing.T) {
 	loads := map[int]int{1: 7, 3: 2, 5: 2}
 	f := &Fleet{
-		ARMNodes: []int{1, 3, 5},
-		NodeLoad: func(id int) int { return loads[id] },
+		State: armState(loads, 1, 3, 5),
 		Devices: []Device{
 			&fakeDevice{kernels: map[string]bool{}},
 			&fakeDevice{kernels: map[string]bool{"KNL": true}},

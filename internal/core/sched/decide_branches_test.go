@@ -8,84 +8,92 @@ import (
 	"xartrek/internal/xclbin"
 )
 
+// branchTable is a one-app threshold table with the given thresholds.
+func branchTable(t *testing.T, fpgaThr, armThr int) *threshold.Table {
+	t.Helper()
+	tab := threshold.NewTable()
+	if err := tab.Add(threshold.Record{
+		App: "app", Kernel: "KNL", FPGAThr: fpgaThr, ARMThr: armThr,
+		X86Exec:  175 * time.Millisecond,
+		ARMExec:  642 * time.Millisecond,
+		FPGAExec: 332 * time.Millisecond,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
+// branchCase is one point of Algorithm 2's predicate space.
+type branchCase struct {
+	name             string
+	load             int
+	fpgaThr, armThr  int
+	kernelResident   bool
+	imageAvailable   bool
+	wantTarget       threshold.Target
+	wantReconfig     bool
+	wantReconfigures int // programs issued to the device
+}
+
+// algorithm2Cases covers every branch of Algorithm 2.
+var algorithm2Cases = []branchCase{
+	{
+		// Lines 19-21: light load, no migration.
+		name: "lines19-21/low-load-x86",
+		load: 5, fpgaThr: 16, armThr: 31,
+		wantTarget: threshold.TargetX86,
+	},
+	{
+		// Lines 9-13: FPGA pays but kernel absent, ARM does not pay
+		// — hide the download behind continued x86 execution.
+		name: "lines9-13/hide-reconfig-on-x86",
+		load: 20, fpgaThr: 16, armThr: 31, imageAvailable: true,
+		wantTarget: threshold.TargetX86, wantReconfig: true, wantReconfigures: 1,
+	},
+	{
+		// Lines 14-18: both thresholds exceeded, kernel absent —
+		// migrate to ARM now, reconfigure meanwhile.
+		name: "lines14-18/arm-plus-reconfig",
+		load: 40, fpgaThr: 16, armThr: 31, imageAvailable: true,
+		wantTarget: threshold.TargetARM, wantReconfig: true, wantReconfigures: 1,
+	},
+	{
+		// Lines 22-24: only the ARM threshold exceeded (flipped
+		// table so ARMTHR < load <= FPGATHR).
+		name: "lines22-24/arm-only",
+		load: 20, fpgaThr: 31, armThr: 16,
+		wantTarget: threshold.TargetARM,
+	},
+	{
+		// Lines 25-31, FPGATHR < ARMTHR: resident kernel wins.
+		name: "lines25-31/resident-fpga",
+		load: 40, fpgaThr: 16, armThr: 31, kernelResident: true,
+		wantTarget: threshold.TargetFPGA,
+	},
+	{
+		// Lines 25-31, ARMTHR < FPGATHR: the smaller threshold
+		// implies the smaller execution time — ARM despite the
+		// resident kernel.
+		name: "lines25-31/resident-but-arm-cheaper",
+		load: 40, fpgaThr: 31, armThr: 16, kernelResident: true,
+		wantTarget: threshold.TargetARM,
+	},
+	{
+		// Lines 9-13 with no image for the kernel: the download
+		// cannot start, the class decision stands.
+		name: "lines9-13/no-image-no-reconfig",
+		load: 20, fpgaThr: 16, armThr: 31,
+		wantTarget: threshold.TargetX86,
+	},
+}
+
 // TestDecideCoversEveryAlgorithm2Branch drives every branch of
 // Algorithm 2's predicate space through Server.Decide, under both the
 // fixed-testbed server (NewServer) and a single-node fleet server
 // (NewFleetServer) — which must make identical decisions by the
 // DefaultPolicy equivalence argument (DESIGN.md §8).
 func TestDecideCoversEveryAlgorithm2Branch(t *testing.T) {
-	mkTable := func(fpgaThr, armThr int) *threshold.Table {
-		tab := threshold.NewTable()
-		if err := tab.Add(threshold.Record{
-			App: "app", Kernel: "KNL", FPGAThr: fpgaThr, ARMThr: armThr,
-			X86Exec:  175 * time.Millisecond,
-			ARMExec:  642 * time.Millisecond,
-			FPGAExec: 332 * time.Millisecond,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return tab
-	}
-	cases := []struct {
-		name             string
-		load             int
-		fpgaThr, armThr  int
-		kernelResident   bool
-		imageAvailable   bool
-		wantTarget       threshold.Target
-		wantReconfig     bool
-		wantReconfigures int // programs issued to the device
-	}{
-		{
-			// Lines 19-21: light load, no migration.
-			name: "lines19-21/low-load-x86",
-			load: 5, fpgaThr: 16, armThr: 31,
-			wantTarget: threshold.TargetX86,
-		},
-		{
-			// Lines 9-13: FPGA pays but kernel absent, ARM does not pay
-			// — hide the download behind continued x86 execution.
-			name: "lines9-13/hide-reconfig-on-x86",
-			load: 20, fpgaThr: 16, armThr: 31, imageAvailable: true,
-			wantTarget: threshold.TargetX86, wantReconfig: true, wantReconfigures: 1,
-		},
-		{
-			// Lines 14-18: both thresholds exceeded, kernel absent —
-			// migrate to ARM now, reconfigure meanwhile.
-			name: "lines14-18/arm-plus-reconfig",
-			load: 40, fpgaThr: 16, armThr: 31, imageAvailable: true,
-			wantTarget: threshold.TargetARM, wantReconfig: true, wantReconfigures: 1,
-		},
-		{
-			// Lines 22-24: only the ARM threshold exceeded (flipped
-			// table so ARMTHR < load <= FPGATHR).
-			name: "lines22-24/arm-only",
-			load: 20, fpgaThr: 31, armThr: 16,
-			wantTarget: threshold.TargetARM,
-		},
-		{
-			// Lines 25-31, FPGATHR < ARMTHR: resident kernel wins.
-			name: "lines25-31/resident-fpga",
-			load: 40, fpgaThr: 16, armThr: 31, kernelResident: true,
-			wantTarget: threshold.TargetFPGA,
-		},
-		{
-			// Lines 25-31, ARMTHR < FPGATHR: the smaller threshold
-			// implies the smaller execution time — ARM despite the
-			// resident kernel.
-			name: "lines25-31/resident-but-arm-cheaper",
-			load: 40, fpgaThr: 31, armThr: 16, kernelResident: true,
-			wantTarget: threshold.TargetARM,
-		},
-		{
-			// Lines 9-13 with no image for the kernel: the download
-			// cannot start, the class decision stands.
-			name: "lines9-13/no-image-no-reconfig",
-			load: 20, fpgaThr: 16, armThr: 31,
-			wantTarget: threshold.TargetX86,
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range algorithm2Cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var images []*xclbin.XCLBIN
 			if tc.imageAvailable {
@@ -96,16 +104,15 @@ func TestDecideCoversEveryAlgorithm2Branch(t *testing.T) {
 				kernels["KNL"] = true
 			}
 			devFixed := &fakeDevice{kernels: kernels}
-			fixed := NewServer(mkTable(tc.fpgaThr, tc.armThr), func() int { return tc.load }, devFixed, images)
+			fixed := NewServer(branchTable(t, tc.fpgaThr, tc.armThr), func() int { return tc.load }, devFixed, images)
 
 			devFleet := &fakeDevice{kernels: map[string]bool{}}
 			for k := range kernels {
 				devFleet.kernels[k] = true
 			}
-			fleet := NewFleetServer(mkTable(tc.fpgaThr, tc.armThr), func() int { return tc.load }, Fleet{
-				ARMNodes: []int{0},
-				NodeLoad: func(int) int { return 0 },
-				Devices:  []Device{devFleet},
+			fleet := NewFleetServer(branchTable(t, tc.fpgaThr, tc.armThr), func() int { return tc.load }, Fleet{
+				State:   armState(nil, 0),
+				Devices: []Device{devFleet},
 			}, images)
 
 			df, err := fixed.Decide("app", "KNL")
@@ -151,8 +158,10 @@ func TestDecideEmptyFleetActsAsNeverMigrate(t *testing.T) {
 	}
 }
 
+// A fresh fleet state reads every load as zero, so the pick is the
+// first candidate in fleet order.
 func TestDecideFleetWithNilNodeLoadUsesFirstARMNode(t *testing.T) {
-	fleet := Fleet{ARMNodes: []int{7, 3}}
+	fleet := Fleet{State: armState(nil, 7, 3)}
 	srv := NewFleetServer(testTable(t), func() int { return 40 }, fleet, nil)
 	d, err := srv.Decide("app", "KNL")
 	if err != nil {
@@ -170,7 +179,7 @@ func TestReconfigCounterSplitPendingVsAllBusy(t *testing.T) {
 	pending := &fakeDevice{reconfiguring: true, kernels: map[string]bool{}, pending: map[string]bool{"KNL": true}}
 	idle := &fakeDevice{kernels: map[string]bool{}}
 	srv := NewFleetServer(testTable(t), func() int { return 20 }, Fleet{
-		ARMNodes: []int{9}, NodeLoad: func(int) int { return 0 },
+		State:   armState(nil, 9),
 		Devices: []Device{pending, idle},
 	}, images)
 	if _, err := srv.Decide("app", "KNL"); err != nil {
@@ -186,7 +195,7 @@ func TestReconfigCounterSplitPendingVsAllBusy(t *testing.T) {
 	busyA := &fakeDevice{reconfiguring: true, kernels: map[string]bool{}}
 	busyB := &fakeDevice{reconfiguring: true, kernels: map[string]bool{}}
 	srv = NewFleetServer(testTable(t), func() int { return 20 }, Fleet{
-		ARMNodes: []int{9}, NodeLoad: func(int) int { return 0 },
+		State:   armState(nil, 9),
 		Devices: []Device{busyA, busyB},
 	}, images)
 	if _, err := srv.Decide("app", "KNL"); err != nil {
@@ -203,9 +212,8 @@ func TestDecideHotPathDoesNotAllocate(t *testing.T) {
 	// extraction must not have put allocations on it.
 	dev := &fakeDevice{kernels: map[string]bool{"KNL": true}}
 	srv := NewFleetServer(testTable(t), func() int { return 40 }, Fleet{
-		ARMNodes: []int{0, 1},
-		NodeLoad: func(int) int { return 0 },
-		Devices:  []Device{dev},
+		State:   armState(nil, 0, 1),
+		Devices: []Device{dev},
 	}, nil)
 	avg := testing.AllocsPerRun(200, func() {
 		if _, err := srv.Decide("app", "KNL"); err != nil {

@@ -26,14 +26,18 @@ import (
 // paper's fixed targets, so decisions are bit-identical to the
 // pre-fleet server.
 type Fleet struct {
-	// ARMNodes lists the identifiers of ARM-class nodes eligible for
-	// software migration, in deterministic (topology) order.
-	ARMNodes []int
-	// NodeLoad reports the resident process count of a node named in
-	// ARMNodes.
-	NodeLoad func(id int) int
-	// NodeCores reports the core count of a node named in ARMNodes —
-	// the capacity a policy needs to turn a process count into a
+	// State holds the ARM candidates (node ids in deterministic,
+	// topology order) with their loads and availability; the platform
+	// writes it as the fleet changes and every entry node's server
+	// reads the same value. nil means no ARM candidates.
+	State *FleetState
+	// Entry is the node id this server's migrations depart from: a
+	// partition between Entry and a candidate (FleetState
+	// .SetPartitioned) makes that candidate unavailable to this server
+	// only.
+	Entry int
+	// NodeCores reports the core count of an ARM candidate — the
+	// capacity a policy needs to turn a process count into a
 	// processor-sharing slowdown. nil means capacity is unknown.
 	NodeCores func(id int) int
 	// MigrationCost estimates the uncontended one-way cost of
@@ -55,27 +59,27 @@ type Fleet struct {
 	// decision; nil selects DefaultPolicy, which keeps the server
 	// bit-identical to the pre-policy scheduler.
 	Policy PlacementPolicy
-	// NodeAvailable, when non-nil, reports whether a node named in
-	// ARMNodes currently accepts new placements — it is up, not
-	// draining, and reachable from this server's entry node. nil means
-	// every listed node is always available. Fault-injection campaigns
-	// flip this dynamically, giving the fleet elastic membership
-	// without rebuilding the server: policies skip unavailable
-	// candidates, and a fully unavailable ARM class degrades to the
-	// empty-fleet rule (the ARM threshold acts as Never).
-	NodeAvailable func(id int) bool
-	// DeviceAvailable is NodeAvailable for the device fleet: whether
-	// Devices[i] is currently powered and usable. nil means always.
-	// A kernel whose only resident card is unavailable is treated as
-	// not configured, so Algorithm 2 degrades it to CPU execution.
+	// DeviceAvailable reports whether Devices[i] is currently powered
+	// and usable. nil means always. A kernel whose only resident card
+	// is unavailable is treated as not configured, so Algorithm 2
+	// degrades it to CPU execution.
 	DeviceAvailable func(i int) bool
 }
 
-// NodeUp reports whether an ARM candidate currently accepts
-// placements (true when no availability surface is wired).
-func (f *Fleet) NodeUp(id int) bool {
-	return f.NodeAvailable == nil || f.NodeAvailable(id)
-}
+// ARMNodes lists the ARM candidates in fleet order.
+func (f *Fleet) ARMNodes() []int { return f.State.ARMNodes() }
+
+// NodeLoad reports an ARM candidate's resident process count.
+func (f *Fleet) NodeLoad(id int) int { return f.State.Load(id) }
+
+// NodeUp reports whether an ARM candidate currently accepts placements
+// from this server: it is up, not draining, and its link from Entry is
+// not partitioned. Fault-injection campaigns flip this dynamically,
+// giving the fleet elastic membership without rebuilding the server:
+// policies skip unavailable candidates, and a fully unavailable ARM
+// class degrades to the empty-fleet rule (the ARM threshold acts as
+// Never).
+func (f *Fleet) NodeUp(id int) bool { return f.State.Available(f.Entry, id) }
 
 // DeviceUp reports whether Devices[i] is currently usable (true when
 // no availability surface is wired).
@@ -146,7 +150,7 @@ func (s *Server) placeARM(ctx PlacementContext) (int, bool) {
 	if s.fleet == nil {
 		return 0, true
 	}
-	if len(s.fleet.ARMNodes) == 0 {
+	if len(s.fleet.ARMNodes()) == 0 {
 		return 0, false
 	}
 	return s.Policy().PickARMNode(ctx, s.fleet)

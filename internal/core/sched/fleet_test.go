@@ -10,8 +10,7 @@ import (
 func TestFleetPicksLeastLoadedARMNode(t *testing.T) {
 	loads := map[int]int{1: 7, 3: 2, 5: 2}
 	fleet := Fleet{
-		ARMNodes: []int{1, 3, 5},
-		NodeLoad: func(id int) int { return loads[id] },
+		State: armState(loads, 1, 3, 5),
 	}
 	// Load 32 exceeds ARMThr 31 and FPGAThr 16, no device → lines
 	// 14-18, ARM class.
@@ -49,9 +48,8 @@ func TestFleetFindsKernelOnLowestDevice(t *testing.T) {
 	dev1 := &fakeDevice{kernels: map[string]bool{"KNL": true}}
 	dev2 := &fakeDevice{kernels: map[string]bool{"KNL": true}}
 	fleet := Fleet{
-		ARMNodes: []int{9},
-		NodeLoad: func(int) int { return 0 },
-		Devices:  []Device{dev0, dev1, dev2},
+		State:   armState(nil, 9),
+		Devices: []Device{dev0, dev1, dev2},
 	}
 	// Load 20: above FPGAThr 16, below ARMThr 31, kernel resident →
 	// lines 25-31 pick the FPGA (FPGAThr < ARMThr).
@@ -69,9 +67,8 @@ func TestFleetReconfigSkipsBusyDevices(t *testing.T) {
 	busy := &fakeDevice{kernels: map[string]bool{}, reconfiguring: true}
 	idle := &fakeDevice{kernels: map[string]bool{}}
 	fleet := Fleet{
-		ARMNodes: []int{9},
-		NodeLoad: func(int) int { return 0 },
-		Devices:  []Device{busy, idle},
+		State:   armState(nil, 9),
+		Devices: []Device{busy, idle},
 	}
 	images := []*xclbin.XCLBIN{imageWith(t, "KNL")}
 	// Load 20: FPGA threshold exceeded, kernel absent, ARM not
@@ -100,9 +97,8 @@ func TestFleetSingleNodeMatchesFixedServer(t *testing.T) {
 		l := load
 		fixed := NewServer(testTable(t), func() int { return l }, devA, nil)
 		fleet := NewFleetServer(testTable(t), func() int { return l }, Fleet{
-			ARMNodes: []int{0},
-			NodeLoad: func(int) int { return 0 },
-			Devices:  []Device{devB},
+			State:   armState(nil, 0),
+			Devices: []Device{devB},
 		}, nil)
 		df, err := fixed.Decide("app", "KNL")
 		if err != nil {
@@ -124,9 +120,8 @@ func TestFleetReconfigWaitsForPendingKernel(t *testing.T) {
 	busy := &fakeDevice{kernels: map[string]bool{}, reconfiguring: true, pending: map[string]bool{"KNL": true}}
 	idle := &fakeDevice{kernels: map[string]bool{}}
 	fleet := Fleet{
-		ARMNodes: []int{9},
-		NodeLoad: func(int) int { return 0 },
-		Devices:  []Device{busy, idle},
+		State:   armState(nil, 9),
+		Devices: []Device{busy, idle},
 	}
 	images := []*xclbin.XCLBIN{imageWith(t, "KNL")}
 	srv := NewFleetServer(testTable(t), func() int { return 20 }, fleet, images)

@@ -80,22 +80,11 @@ func (DefaultPolicy) Name() string { return "default" }
 
 // PickARMNode implements PlacementPolicy: least loaded among the
 // available candidates, ties toward fleet order. With every candidate
-// unavailable it rejects the ARM class.
+// unavailable it rejects the ARM class. The fleet state's min-load
+// index answers in O(1); only an entry node with an active pair
+// partition pays a scan.
 func (DefaultPolicy) PickARMNode(_ PlacementContext, f *Fleet) (int, bool) {
-	best, bestLoad, found := 0, 0, false
-	for _, id := range f.ARMNodes {
-		if !f.NodeUp(id) {
-			continue
-		}
-		l := 0
-		if f.NodeLoad != nil {
-			l = f.NodeLoad(id)
-		}
-		if !found || l < bestLoad {
-			best, bestLoad, found = id, l, true
-		}
-	}
-	return best, found
+	return f.State.LeastLoaded(f.Entry)
 }
 
 // PickDevice implements PlacementPolicy: lowest-indexed available card
@@ -139,9 +128,9 @@ func (DefaultPolicy) ReconfigOrder(_ PlacementContext, f *Fleet, buf []int) []in
 // sharing that link (each divides its bandwidth), and congestion the
 // processor-sharing slowdown max(1, (load+1)/cores). Ties break toward
 // the node earlier in fleet order. Fleet surfaces the policy cannot
-// observe (nil MigrationCost/LinkQueue/NodeCores) contribute nothing,
-// so on a fleet without transfer context the policy degrades to
-// least-loaded.
+// observe (nil MigrationCost/LinkQueue) contribute nothing, and
+// without NodeCores the congestion term is load+1, so on a fleet
+// without transfer context the policy degrades to least-loaded.
 type LinkAwarePolicy struct{}
 
 var _ PlacementPolicy = LinkAwarePolicy{}
@@ -153,7 +142,7 @@ func (LinkAwarePolicy) Name() string { return "link-aware" }
 // skipped; with every candidate unavailable the ARM class is rejected.
 func (LinkAwarePolicy) PickARMNode(ctx PlacementContext, f *Fleet) (int, bool) {
 	best, bestScore, found := 0, 0.0, false
-	for _, id := range f.ARMNodes {
+	for _, id := range f.ARMNodes() {
 		if !f.NodeUp(id) {
 			continue
 		}
@@ -176,22 +165,19 @@ func linkAwareScore(ctx PlacementContext, f *Fleet, id int) float64 {
 		}
 		score += transfer * float64(1+queue)
 	}
-	if f.NodeLoad != nil {
-		congestion := 1.0
-		if f.NodeCores != nil {
-			if cores := f.NodeCores(id); cores > 0 {
-				if c := float64(f.NodeLoad(id)+1) / float64(cores); c > 1 {
-					congestion = c
-				}
+	congestion := 1.0
+	if f.NodeCores != nil {
+		if cores := f.NodeCores(id); cores > 0 {
+			if c := float64(f.NodeLoad(id)+1) / float64(cores); c > 1 {
+				congestion = c
 			}
-		} else {
-			// Without a capacity surface fall back to a pure
-			// least-loaded bias, matching DefaultPolicy's ordering.
-			congestion = float64(f.NodeLoad(id) + 1)
 		}
-		score += ctx.Record.ARMExec.Seconds() * congestion
+	} else {
+		// Without a capacity surface fall back to a pure least-loaded
+		// bias, matching DefaultPolicy's ordering.
+		congestion = float64(f.NodeLoad(id) + 1)
 	}
-	return score
+	return score + ctx.Record.ARMExec.Seconds()*congestion
 }
 
 // PickDevice implements PlacementPolicy (DefaultPolicy rule).

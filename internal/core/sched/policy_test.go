@@ -20,8 +20,7 @@ func testCtx(kernel string) PlacementContext {
 func TestDefaultPolicyMatchesDocumentedRule(t *testing.T) {
 	loads := map[int]int{1: 7, 3: 2, 5: 2}
 	f := &Fleet{
-		ARMNodes: []int{1, 3, 5},
-		NodeLoad: func(id int) int { return loads[id] },
+		State: armState(loads, 1, 3, 5),
 		Devices: []Device{
 			&fakeDevice{kernels: map[string]bool{}},
 			&fakeDevice{kernels: map[string]bool{"KNL": true}},
@@ -44,8 +43,10 @@ func TestDefaultPolicyMatchesDocumentedRule(t *testing.T) {
 	}
 }
 
+// Unwritten loads read as zero: ties go to the first candidate in
+// fleet order, not the lowest id.
 func TestDefaultPolicyNilNodeLoadPicksFirst(t *testing.T) {
-	f := &Fleet{ARMNodes: []int{4, 2}}
+	f := &Fleet{State: armState(nil, 4, 2)}
 	node, ok := DefaultPolicy{}.PickARMNode(testCtx("KNL"), f)
 	if !ok || node != 4 {
 		t.Fatalf("pick = %d/%v, want first candidate 4", node, ok)
@@ -61,8 +62,7 @@ func TestLinkAwareRepelsSlowLink(t *testing.T) {
 	costs := map[int]time.Duration{1: 100 * time.Millisecond, 2: 2 * time.Second}
 	loads := map[int]int{1: 5, 2: 1}
 	f := &Fleet{
-		ARMNodes:      []int{1, 2},
-		NodeLoad:      func(id int) int { return loads[id] },
+		State:         armState(loads, 1, 2),
 		NodeCores:     func(int) int { return 96 },
 		MigrationCost: func(_ string, id int) time.Duration { return costs[id] },
 		LinkQueue:     func(int) int { return 0 },
@@ -81,8 +81,7 @@ func TestLinkAwareWeighsLinkQueue(t *testing.T) {
 	// carries 5 transfers, each dividing its bandwidth.
 	queues := map[int]int{1: 5, 2: 0}
 	f := &Fleet{
-		ARMNodes:      []int{1, 2},
-		NodeLoad:      func(int) int { return 0 },
+		State:         armState(nil, 1, 2),
 		NodeCores:     func(int) int { return 96 },
 		MigrationCost: func(string, int) time.Duration { return time.Second },
 		LinkQueue:     func(id int) int { return queues[id] },
@@ -99,8 +98,7 @@ func TestLinkAwareOverflowsToFarNodeWhenNearSaturated(t *testing.T) {
 	loads := map[int]int{1: 600, 2: 0}
 	costs := map[int]time.Duration{1: 100 * time.Millisecond, 2: 2 * time.Second}
 	f := &Fleet{
-		ARMNodes:      []int{1, 2},
-		NodeLoad:      func(id int) int { return loads[id] },
+		State:         armState(loads, 1, 2),
 		NodeCores:     func(int) int { return 96 },
 		MigrationCost: func(_ string, id int) time.Duration { return costs[id] },
 		LinkQueue:     func(int) int { return 0 },
@@ -116,8 +114,7 @@ func TestLinkAwareWithoutTransferContextFallsBackToLeastLoaded(t *testing.T) {
 	// DefaultPolicy (least loaded, ties toward fleet order).
 	loads := map[int]int{1: 7, 3: 2, 5: 2}
 	f := &Fleet{
-		ARMNodes: []int{1, 3, 5},
-		NodeLoad: func(id int) int { return loads[id] },
+		State: armState(loads, 1, 3, 5),
 	}
 	node, ok := LinkAwarePolicy{}.PickARMNode(testCtx("KNL"), f)
 	if !ok || node != 3 {
@@ -172,10 +169,9 @@ func TestAffinityServerDefersReconfigWhilePinnedCardBusy(t *testing.T) {
 	idle := &fakeDevice{kernels: map[string]bool{}}
 	pinned := &fakeDevice{kernels: map[string]bool{}, reconfiguring: true}
 	fleet := Fleet{
-		ARMNodes: []int{9},
-		NodeLoad: func(int) int { return 0 },
-		Devices:  []Device{idle, pinned},
-		Policy:   NewAffinityPolicy(map[string]int{"KNL": 1}),
+		State:   armState(nil, 9),
+		Devices: []Device{idle, pinned},
+		Policy:  NewAffinityPolicy(map[string]int{"KNL": 1}),
 	}
 	images := []*xclbin.XCLBIN{imageWith(t, "KNL")}
 	srv := NewFleetServer(testTable(t), func() int { return 20 }, fleet, images)

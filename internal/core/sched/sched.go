@@ -170,13 +170,26 @@ func (s *Server) DecideClass(app, kernel, class string) (Decision, error) {
 	x86Load := s.load()
 	ctx := PlacementContext{App: app, Kernel: kernel, Class: class, HostLoad: x86Load, Record: rec}
 	armThr, fpgaThr := rec.ARMThr, rec.FPGAThr
-	armNode, armOK := s.placeARM(ctx)
-	if !armOK {
-		// No ARM-class node in the topology: no load makes software
-		// migration possible, so the threshold acts as Never.
-		armThr = threshold.Never
+	// Placement runs only when a branch below can read its answer.
+	// Every branch that uses armNode (or rejects ARM via Never)
+	// requires x86Load > armThr, and every branch that reads hwAvail
+	// requires x86Load > fpgaThr; below its threshold an unplaced
+	// class takes the same branch it would have placed, because
+	// policies' picks are pure and Never only raises armThr further
+	// above x86Load.
+	armNode, devIdx, hwAvail := 0, 0, false
+	if x86Load > armThr {
+		var armOK bool
+		if armNode, armOK = s.placeARM(ctx); !armOK {
+			// No ARM-class node can take the request: no load makes
+			// software migration possible, so the threshold acts as
+			// Never.
+			armThr = threshold.Never
+		}
 	}
-	devIdx, hwAvail := s.placeDevice(ctx)
+	if x86Load > fpgaThr {
+		devIdx, hwAvail = s.placeDevice(ctx)
+	}
 
 	var d Decision
 	switch {

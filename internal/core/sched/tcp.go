@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -44,13 +45,23 @@ type wireResponse struct {
 // Wire-robustness defaults. Clients bound every round trip with an I/O
 // deadline and retry transport failures (never application errors) with
 // exponential backoff over a fresh connection; the server drains live
-// connections on Close before force-closing stragglers.
+// connections on Close before force-closing stragglers, drops a
+// connection that stays silent past its idle timeout, and drops one
+// whose frame outgrows MaxFrameBytes.
 const (
 	DefaultIOTimeout    = 5 * time.Second
 	DefaultDialRetries  = 2
 	DefaultDialBackoff  = 50 * time.Millisecond
 	DefaultDrainTimeout = 5 * time.Second
+	DefaultIdleTimeout  = 2 * time.Minute
 )
+
+// MaxFrameBytes caps the bytes the server reads while decoding one
+// request frame (the frame plus the decoder's read-ahead). Real frames
+// are a few hundred bytes; a peer that streams more without completing
+// a frame is cut off instead of growing the decoder's buffer without
+// limit.
+const MaxFrameBytes = 64 << 10
 
 // TCPServer exposes a Server over a TCP listener.
 type TCPServer struct {
@@ -60,6 +71,11 @@ type TCPServer struct {
 	// DrainTimeout bounds how long Close waits for in-flight frames
 	// before force-closing connections. Zero means DefaultDrainTimeout.
 	DrainTimeout time.Duration
+	// IdleTimeout bounds how long a connection may wait for its next
+	// frame before the server drops it, so an idle or stalled peer
+	// cannot hold a goroutine until Close. Zero means
+	// DefaultIdleTimeout.
+	IdleTimeout time.Duration
 
 	mu     sync.Mutex
 	closed bool
@@ -156,7 +172,9 @@ func (t *TCPServer) acceptLoop() {
 	}
 }
 
-// serveConn handles one client connection.
+// serveConn handles one client connection. Each frame is read under a
+// fresh idle deadline and a fresh MaxFrameBytes budget; running out of
+// either ends this connection only.
 func (t *TCPServer) serveConn(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -166,9 +184,12 @@ func (t *TCPServer) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 
-	dec := json.NewDecoder(bufio.NewReader(conn))
+	limit := &io.LimitedReader{R: conn}
+	dec := json.NewDecoder(bufio.NewReader(limit))
 	enc := json.NewEncoder(conn)
 	for {
+		t.armRead(conn)
+		limit.N = MaxFrameBytes
 		var req wireRequest
 		if err := dec.Decode(&req); err != nil {
 			return
@@ -178,6 +199,24 @@ func (t *TCPServer) serveConn(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// armRead sets the read deadline for the connection's next frame: the
+// idle timeout, or — once Close has begun draining — an immediate
+// deadline, so a frame already buffered is still served but the
+// connection never waits for another.
+func (t *TCPServer) armRead(conn net.Conn) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		conn.SetReadDeadline(time.Now())
+		return
+	}
+	idle := t.IdleTimeout
+	if idle <= 0 {
+		idle = DefaultIdleTimeout
+	}
+	conn.SetReadDeadline(time.Now().Add(idle))
 }
 
 // handle dispatches one frame to the scheduler.

@@ -336,3 +336,80 @@ func TestTCPUnknownMessageType(t *testing.T) {
 		t.Fatalf("err = %v, want unknown-type error", err)
 	}
 }
+
+// waitClosed reads from a raw connection until the server closes it,
+// failing if that takes longer than limit.
+func waitClosed(t *testing.T, conn net.Conn, limit time.Duration) {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(limit))
+	buf := make([]byte, 512)
+	for {
+		if _, err := conn.Read(buf); err != nil {
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				t.Fatalf("server kept the connection open past %v", limit)
+			}
+			return
+		}
+	}
+}
+
+func TestTCPServerDropsOversizedFrame(t *testing.T) {
+	dev := &fakeDevice{kernels: map[string]bool{"KNL": true}}
+	srv := NewServer(testTable(t), func() int { return 40 }, dev, nil)
+	ts := startTCP(t, srv)
+	good := dialTCP(t, ts.Addr())
+
+	bad, err := net.Dial("tcp", ts.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Close()
+	// An unterminated string keeps the decoder reading: without a cap
+	// its buffer would grow for as long as the peer sends.
+	go func() {
+		bad.Write([]byte(`{"type":"request","app":"`))
+		chunk := []byte(strings.Repeat("a", 4096))
+		for sent := 0; sent <= 2*MaxFrameBytes; sent += len(chunk) {
+			if _, err := bad.Write(chunk); err != nil {
+				return
+			}
+		}
+	}()
+	waitClosed(t, bad, 5*time.Second)
+
+	// Only the offending connection was dropped.
+	d, err := good.Decide("app", "KNL")
+	if err != nil || d.Target != threshold.TargetFPGA {
+		t.Fatalf("well-behaved client after the oversized frame: %+v, %v", d, err)
+	}
+}
+
+func TestTCPServerDropsIdleConnection(t *testing.T) {
+	srv := NewServer(testTable(t), func() int { return 1 }, nil, nil)
+	ts := startTCP(t, srv)
+	ts.mu.Lock()
+	ts.IdleTimeout = 50 * time.Millisecond
+	ts.mu.Unlock()
+
+	silent, err := net.Dial("tcp", ts.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	waitClosed(t, silent, 5*time.Second)
+	deadline := time.Now().Add(5 * time.Second)
+	for ts.Conns() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connections still registered after the idle timeout", ts.Conns())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// A client that goes quiet past the timeout redials transparently.
+	c := dialTCP(t, ts.Addr())
+	time.Sleep(150 * time.Millisecond)
+	if _, err := c.Decide("app", "KNL"); err != nil {
+		t.Fatalf("decide after idle drop: %v", err)
+	}
+}

@@ -109,6 +109,13 @@ func newElasticRuntime(p *Platform, admission *elastic.AdmissionSpec, scaler *el
 // testLatencySink.
 var debugElasticSample func(now time.Duration, smp elastic.Sample)
 
+// setInactive drains (or rejoins) an entry node and marks its key in
+// the platform's entry index stale.
+func (rt *elasticRuntime) setInactive(n *cluster.Node, inactive bool) {
+	rt.inactive[n.Index] = inactive
+	rt.p.markEntry(n)
+}
+
 // entryOK reports whether an entry node accepts new placements under
 // the autoscaler's current fleet (the elastic half of the drain gate;
 // entryEligible ANDs it with the fault gate).
@@ -164,7 +171,7 @@ func (rt *elasticRuntime) sample(now time.Duration) {
 				break
 			}
 			if rt.inactive[n.Index] {
-				rt.inactive[n.Index] = false
+				rt.setInactive(n, false)
 				delta--
 			}
 		}
@@ -177,7 +184,7 @@ func (rt *elasticRuntime) sample(now time.Duration) {
 			if n == rt.p.Cluster.X86 || rt.inactive[n.Index] {
 				continue
 			}
-			rt.inactive[n.Index] = true
+			rt.setInactive(n, true)
 			delta++
 		}
 	}

@@ -142,7 +142,9 @@ type faultRuntime struct {
 	downSince    []time.Duration
 	devDownSince []time.Duration
 	linkFactor   map[linkPair]float64
-	partitioned  map[linkPair]bool
+	// Link partitions live in the platform's fleet state
+	// (p.fleet.Partitioned), where placement reads them; node
+	// placeability is mirrored there by placementChanged.
 
 	// nodeTokens[i] holds the live segments resident on node i
 	// (compute jobs, plus transfers whose destination is i);
@@ -187,7 +189,6 @@ func newFaultRuntime(p *Platform, spec *faults.Spec, seed int64, horizon time.Du
 		downSince:    make([]time.Duration, len(p.Cluster.Nodes)),
 		devDownSince: make([]time.Duration, len(p.Devices)),
 		linkFactor:   make(map[linkPair]float64),
-		partitioned:  make(map[linkPair]bool),
 		nodeTokens:   make([][]*segToken, len(p.Cluster.Nodes)),
 		devTokens:    make([][]*segToken, len(p.Devices)),
 		sketch:       sketch,
@@ -261,6 +262,7 @@ func (rt *faultRuntime) apply(ev faults.Event, node, dev int, pair linkPair) {
 		}
 		rt.nodeDown[node] = true
 		rt.downSince[node] = now
+		rt.placementChanged(node)
 		rt.killNode(node)
 	case faults.NodeUp:
 		if !rt.nodeDown[node] {
@@ -268,10 +270,13 @@ func (rt *faultRuntime) apply(ev faults.Event, node, dev int, pair linkPair) {
 		}
 		rt.nodeDown[node] = false
 		rt.res.NodeDownSeconds += (now - rt.downSince[node]).Seconds()
+		rt.placementChanged(node)
 	case faults.NodeDrain:
 		rt.nodeDraining[node] = true
+		rt.placementChanged(node)
 	case faults.NodeUndrain:
 		rt.nodeDraining[node] = false
+		rt.placementChanged(node)
 	case faults.FPGADown:
 		if rt.devDown[dev] {
 			return
@@ -291,15 +296,22 @@ func (rt *faultRuntime) apply(ev faults.Event, node, dev int, pair linkPair) {
 	case faults.LinkDegrade:
 		rt.linkFactor[pair] = ev.Factor
 	case faults.LinkPartition:
-		if rt.partitioned[pair] {
+		if rt.p.fleet.Partitioned(pair.lo, pair.hi) {
 			return
 		}
-		rt.partitioned[pair] = true
+		rt.p.fleet.SetPartitioned(pair.lo, pair.hi, true)
 		rt.killLink(pair)
 	case faults.LinkRestore:
 		delete(rt.linkFactor, pair)
-		delete(rt.partitioned, pair)
+		rt.p.fleet.SetPartitioned(pair.lo, pair.hi, false)
 	}
+}
+
+// placementChanged writes a node's placeability into the platform's
+// fleet state and entry index after a node event.
+func (rt *faultRuntime) placementChanged(node int) {
+	rt.p.fleet.SetUp(node, rt.placeable(node))
+	rt.p.markEntry(rt.p.Cluster.Nodes[node])
 }
 
 // --- health queries -------------------------------------------------
@@ -313,17 +325,10 @@ func (rt *faultRuntime) placeable(id int) bool {
 	return !rt.nodeDown[id] && !rt.nodeDraining[id]
 }
 
-// reachableFrom is the scheduler fleet's NodeAvailable surface for one
-// entry node: the candidate accepts placements and the pair link is
-// not partitioned.
-func (rt *faultRuntime) reachableFrom(entry, id int) bool {
-	return rt.placeable(id) && !rt.partitioned[pairOf(entry, id)]
-}
-
 // pathOK reports whether a migration from a to b can proceed right
 // now: the destination is up and the pair is not partitioned.
 func (rt *faultRuntime) pathOK(a, b int) bool {
-	return rt.usableNode(b) && !rt.partitioned[pairOf(a, b)]
+	return rt.usableNode(b) && !rt.p.fleet.Partitioned(a, b)
 }
 
 // deviceUp reports card availability.
@@ -507,7 +512,7 @@ func (rt *faultRuntime) disrupt(rq *reqCtx, phase int) {
 		retry = rq.prologue
 	}
 	rt.p.Sim.After(delay, func() {
-		rq.entry = rt.p.leastLoadedX86(nil)
+		rq.entry = rt.p.leastLoadedX86()
 		retry()
 	})
 }
@@ -569,12 +574,6 @@ func (rt *faultRuntime) sinkExact(cell string) {
 }
 
 // --- platform hooks -------------------------------------------------
-
-// faultNodeAvailable is the fleet NodeAvailable closure surface for
-// one entry node (nil-runtime means everything is available).
-func (p *Platform) faultNodeAvailable(entry *cluster.Node, id int) bool {
-	return p.faults == nil || p.faults.reachableFrom(entry.Index, id)
-}
 
 // deviceUp reports whether device i is currently usable.
 func (p *Platform) deviceUp(i int) bool {

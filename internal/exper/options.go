@@ -157,24 +157,32 @@ func NewPlatformTopo(arts *Artifacts, topo cluster.Topology, opts Options) (*Pla
 	armNodes := make([]int, 0, len(c.NodesOfArch(isa.ARM64)))
 	for _, n := range c.NodesOfArch(isa.ARM64) {
 		armNodes = append(armNodes, n.Index)
+		id := n.Index
+		n.Pool.OnActiveChange(func(active int) { p.fleet.SetLoad(id, active) })
+	}
+	p.fleet = sched.NewFleetState(len(c.Nodes), armNodes)
+	p.entries = newEntryIndex(c)
+	for _, n := range c.NodesOfArch(isa.X86_64) {
+		n.Pool.OnActiveChange(func(int) { p.markEntry(n) })
 	}
 	fleetDevs := make([]sched.Device, 0, len(devs))
 	for _, d := range devs {
 		fleetDevs = append(fleetDevs, d)
 	}
 	// One scheduler server per x86 node, each sampling its own node's
-	// load, all sharing the cloned threshold table and the device
-	// fleet. The host's instance is the paper's single server. Each
-	// server's fleet carries transfer context anchored at its own
-	// entry node — migrations depart from where the process runs, so
-	// two entry nodes can legitimately score the same ARM candidate
-	// differently.
+	// load, all sharing the cloned threshold table, the ARM fleet
+	// state and the device fleet. The host's instance is the paper's
+	// single server. Each server's fleet carries transfer context
+	// anchored at its own entry node — migrations depart from where
+	// the process runs, so two entry nodes can legitimately score the
+	// same ARM candidate differently, and a partition cuts a candidate
+	// off from one entry node only.
 	p.servers = make([]*sched.Server, len(c.Nodes))
 	for _, n := range c.NodesOfArch(isa.X86_64) {
 		node := n
 		fleet := sched.Fleet{
-			ARMNodes:  armNodes,
-			NodeLoad:  func(id int) int { return c.Nodes[id].Load() },
+			State:     p.fleet,
+			Entry:     node.Index,
 			NodeCores: func(id int) int { return c.Nodes[id].Cores },
 			MigrationCost: func(app string, id int) time.Duration {
 				return p.migrationCost(node, app, id)
@@ -182,12 +190,8 @@ func NewPlatformTopo(arts *Artifacts, topo cluster.Topology, opts Options) (*Pla
 			LinkQueue: func(id int) int {
 				return c.Link(node, c.Nodes[id]).Queued()
 			},
-			Devices: fleetDevs,
-			Policy:  policy,
-			// Availability routes through the fault runtime; without one
-			// every candidate is always available, so the closures are
-			// behaviourally identical to leaving them nil.
-			NodeAvailable:   func(id int) bool { return p.faultNodeAvailable(node, id) },
+			Devices:         fleetDevs,
+			Policy:          policy,
 			DeviceAvailable: func(i int) bool { return p.deviceUp(i) },
 		}
 		p.servers[node.Index] = sched.NewFleetServer(table, func() int { return p.nodeLoad(node) }, fleet, images)
@@ -336,6 +340,7 @@ type fifoGate struct {
 func (g *fifoGate) exec(work time.Duration, done func()) {
 	if g.running >= g.slots {
 		g.queue = append(g.queue, fifoJob{work: work, done: done})
+		g.p.markEntry(g.p.Cluster.X86)
 		return
 	}
 	g.admit(fifoJob{work: work, done: done})
@@ -349,6 +354,7 @@ func (g *fifoGate) admit(j fifoJob) {
 		if len(g.queue) > 0 {
 			next := g.queue[0]
 			g.queue = g.queue[1:]
+			g.p.markEntry(g.p.Cluster.X86)
 			g.admit(next)
 		}
 		if j.done != nil {

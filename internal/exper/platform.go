@@ -177,6 +177,14 @@ type Platform struct {
 	// on a scheduling request; they are resident on their entry node
 	// and count toward its load.
 	deciding []int
+	// fleet is the ARM tier's placement state, shared by every entry
+	// node's scheduler server: each ARM node's run queue writes its
+	// load into it, and fault events write availability and
+	// partitions.
+	fleet *sched.FleetState
+	// entries indexes the x86 entry tier for arrival balancing
+	// (entry.go).
+	entries entryIndex
 	// opts carries the ablation switches (zero value = full system).
 	opts Options
 	// fifo is the FIFO-core admission gate of the X86FIFO ablation.

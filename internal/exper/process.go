@@ -269,48 +269,17 @@ func (p *Platform) armNode(id int) *cluster.Node {
 	return p.Cluster.ARM
 }
 
-// leastLoadedX86 picks the entry node the serving front end assigns an
-// arriving request to: least loaded (including processes blocked on a
-// decision, plus any same-instant placements the caller counts in
-// extra), ties toward the lower index. extra may be nil.
-func (p *Platform) leastLoadedX86(extra []int) *cluster.Node {
-	var best *cluster.Node
-	bestLoad := 0
-	for _, n := range p.Cluster.NodesOfArch(isa.X86_64) {
-		if !p.entryEligible(n) {
-			continue
-		}
-		l := p.nodeLoad(n)
-		if extra != nil {
-			l += extra[n.Index]
-		}
-		if best == nil || l < bestLoad {
-			best, bestLoad = n, l
-		}
-	}
-	if best == nil {
-		// Every x86 node is crashed or draining: the scheduler host
-		// (which fault validation keeps alive) absorbs arrivals even
-		// while draining, so the front end never wedges.
-		return p.Cluster.X86
-	}
-	return best
-}
-
 // leastLoadedARM picks the ARM node the no-scheduler baselines land
-// on: least loaded, ties toward the lower index — the same rule the
-// fleet scheduler applies, so baselines scale with the topology too.
+// on: least loaded among the nodes accepting placements, ties toward
+// the lower index — the same rule the fleet scheduler applies (read
+// from the same index, blind to pair partitions because no migration
+// link is involved), so baselines scale with the topology too.
 func (p *Platform) leastLoadedARM() *cluster.Node {
-	var best *cluster.Node
-	for _, n := range p.Cluster.NodesOfArch(isa.ARM64) {
-		if p.faults != nil && !p.faults.placeable(n.Index) {
-			continue
-		}
-		if best == nil || n.Load() < best.Load() {
-			best = n
-		}
+	id, ok := p.fleet.LeastLoaded(-1)
+	if !ok {
+		return nil
 	}
-	return best
+	return p.Cluster.Nodes[id]
 }
 
 // execARM performs software migration from the entry node onto the
@@ -569,8 +538,10 @@ func (p *Platform) execXarTrek(rq *reqCtx, entry *cluster.Node, app *workloads.A
 	// while it waits for the decision; that node's load counts it (the
 	// paper's load metric counts processes, not runnable jobs).
 	p.deciding[entry.Index]++
+	p.markEntry(entry)
 	d, err := p.serverFor(entry).DecideClass(app.Name, app.KernelName, class)
 	p.deciding[entry.Index]--
+	p.markEntry(entry)
 	if err != nil {
 		p.execX86(rq, entry, app, finish)
 		return

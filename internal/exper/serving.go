@@ -216,6 +216,8 @@ func runServingCore(arts *Artifacts, cfg ServingConfig, sink bool) (ServingResul
 			return ServingResult{}, nil, nil, fmt.Errorf("exper: serving %q: %w", cfg.Name, err)
 		}
 		p.elastic = rt
+		// The autoscaler starts with part of the entry tier drained.
+		p.markEntries()
 	}
 	res := ServingResult{Name: cfg.Name, Mode: cfg.Mode, RatePerSec: cfg.RatePerSec, Policy: p.PolicyName()}
 	if sketch {
@@ -224,10 +226,12 @@ func runServingCore(arts *Artifacts, cfg ServingConfig, sink bool) (ServingResul
 	lat := newLatDigest(sketch)
 	// A request placed on a node becomes visible in the node's run
 	// queue only when its launch event executes, which is after every
-	// arrival event of the same instant. assigned tracks same-instant
-	// placements so a burst of simultaneous arrivals spreads across
-	// the fleet instead of piling onto one node.
-	assigned := make([]int, len(p.Cluster.Nodes))
+	// arrival event of the same instant. The entry index therefore
+	// counts same-instant placements on top of resident load
+	// (assignEntry), so a burst of simultaneous arrivals spreads across
+	// the fleet instead of piling onto one node; endBatch clears the
+	// counts once the instant is placed.
+	//
 	// Arrivals are injected lazily through simtime.Feed: one injector
 	// event per distinct arrival instant places every request of that
 	// instant and then pulls the next instant from the source, so the
@@ -236,7 +240,7 @@ func runServingCore(arts *Artifacts, cfg ServingConfig, sink bool) (ServingResul
 	// never materialised, so at cluster scale a million-request cell's
 	// working set stays bounded. Batching an instant into one event
 	// keeps the eager injector's same-instant order: every placement of the instant happens before any of its
-	// launch events executes, which the `assigned` bookkeeping relies
+	// launch events executes, which the same-instant bookkeeping relies
 	// on to spread a burst (chaining arrivals one event each would let
 	// the first launches interleave from the third same-instant arrival
 	// on). One ordering edge differs from eager injection — an
@@ -260,11 +264,6 @@ func runServingCore(arts *Artifacts, cfg ServingConfig, sink bool) (ServingResul
 		doneOf, classOf = ten.done, ten.classOf
 	}
 	inject := func(batch []tenancy.Arrival) {
-		// Each Feed batch is a fresh distinct instant, so the
-		// same-instant placement counters always start clean.
-		for n := range assigned {
-			assigned[n] = 0
-		}
 		now := p.Sim.Now()
 		for _, a := range batch {
 			app := src.apps[a.Cohort][a.App]
@@ -274,21 +273,22 @@ func runServingCore(arts *Artifacts, cfg ServingConfig, sink bool) (ServingResul
 			// instant (ties toward the lower index — deterministic),
 			// the request-serving analogue of RDA's client
 			// multiplexing over a server fleet.
-			entry := p.leastLoadedX86(assigned)
-			if p.elastic.overCap(entry, assigned[entry.Index]) {
+			entry := p.leastLoadedX86()
+			if p.elastic.overCap(entry, p.entries.assigned[entry.Index]) {
 				// Even the least-loaded eligible entry node is at the
 				// admission cap: shed the request, or admit it at the
 				// degraded CPU-only service class.
 				if p.elastic.refuse(entry) {
 					continue
 				}
-				assigned[entry.Index]++
+				p.assignEntry(entry)
 				p.elastic.launchDegraded(entry, app, now, done)
 				continue
 			}
-			assigned[entry.Index]++
+			p.assignEntry(entry)
 			p.LaunchAppOnClass(entry, app, cfg.Mode, class, now, done)
 		}
+		p.endBatch()
 	}
 	// Feed fires each returned callback before pulling the next instant,
 	// so one pending-batch slot (and one injector closure, reused for

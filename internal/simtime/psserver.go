@@ -62,6 +62,9 @@ type PSServer struct {
 	// free holds recycled transient job structs for reuse by Submit
 	// and SubmitTransient.
 	free []*PSJob
+	// observe, when set, receives Active() after every change (see
+	// OnActiveChange).
+	observe func(active int)
 }
 
 // PSJob is one unit of work inside a PSServer.
@@ -111,6 +114,16 @@ func NewPSServer(sim *Simulator, capacity float64) *PSServer {
 
 // Active reports the number of jobs currently in service.
 func (p *PSServer) Active() int { return p.heap.len() }
+
+// OnActiveChange registers fn to receive Active() whenever it changes:
+// after a submission, after a Cancel, and once per completion batch —
+// after the drained jobs leave the server and before any of their
+// callbacks run, so an observer always holds exactly what Active()
+// reports. This lets a caller keep the population as data (a fleet's
+// per-node load index) instead of polling every server. fn must not
+// re-enter the server. A nil fn removes the observer; an unobserved
+// server pays one nil check per change.
+func (p *PSServer) OnActiveChange(fn func(active int)) { p.observe = fn }
 
 // Capacity reports the configured service capacity.
 func (p *PSServer) Capacity() float64 { return p.capacity }
@@ -182,6 +195,9 @@ func (p *PSServer) submit(work time.Duration, done func(), transient bool) *PSJo
 	p.nextSeq++
 	p.heap.push(j)
 	p.reschedule()
+	if p.observe != nil {
+		p.observe(p.heap.len())
+	}
 	return j
 }
 
@@ -196,6 +212,9 @@ func (j *PSJob) Cancel() {
 	j.frozen = j.remainingNow()
 	p.heap.removeAt(j.index)
 	p.reschedule()
+	if p.observe != nil {
+		p.observe(p.heap.len())
+	}
 }
 
 // remainingNow is the job's residual work against the current
@@ -315,6 +334,9 @@ func (p *PSServer) completeDue() {
 		finished[k+1] = j
 	}
 	p.reschedule()
+	if p.observe != nil && len(finished) > 0 {
+		p.observe(p.heap.len())
+	}
 	for _, j := range finished {
 		if j.done != nil {
 			j.done()

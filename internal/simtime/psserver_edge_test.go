@@ -155,3 +155,54 @@ func TestPSServerRemainingFrozenAtCancel(t *testing.T) {
 		}
 	})
 }
+
+// The Active() observer fires after every change — submission, Cancel
+// and each completion batch — and, within a batch, once after the
+// drained jobs leave and before their callbacks run, so the last value
+// it received always equals Active().
+func TestPSServerActiveObserver(t *testing.T) {
+	sim := New()
+	p := NewPSServer(sim, 2)
+	var seen []int
+	last := -1
+	p.OnActiveChange(func(active int) {
+		seen = append(seen, active)
+		last = active
+	})
+	check := func(where string) {
+		t.Helper()
+		if last != p.Active() {
+			t.Fatalf("%s: observer holds %d, Active() = %d", where, last, p.Active())
+		}
+	}
+	// Three jobs finish together at 1.5s (rate 2/3 each); one more is
+	// cancelled before then and a transient one finishes alone later.
+	for i := 0; i < 3; i++ {
+		p.SubmitTransient(time.Second, func() { check("batch callback") })
+	}
+	doomed := p.Submit(5*time.Second, nil)
+	check("after submits")
+	sim.At(500*time.Millisecond, func() {
+		doomed.Cancel()
+		check("after cancel")
+		doomed.Cancel() // no-op: must not notify again
+	})
+	sim.Run()
+	check("after run")
+	want := []int{1, 2, 3, 4, 3, 0}
+	if len(seen) != len(want) {
+		t.Fatalf("observer saw %v, want %v", seen, want)
+	}
+	for i := range want {
+		if seen[i] != want[i] {
+			t.Fatalf("observer saw %v, want %v", seen, want)
+		}
+	}
+	// Removing the observer stops notifications.
+	p.OnActiveChange(nil)
+	p.SubmitTransient(time.Second, nil)
+	sim.Run()
+	if len(seen) != len(want) {
+		t.Fatalf("removed observer still notified: %v", seen)
+	}
+}
