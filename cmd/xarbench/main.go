@@ -94,10 +94,12 @@ func run(args []string, out io.Writer) (err error) {
 		fs.Usage()
 		return fmt.Errorf("pick -all, -table N, -figure N, -serving, or -campaign spec.json")
 	}
+	// The deferred closures set run's own err: a profile that fails to
+	// be written fails the run.
 	if *cpuprofile != "" {
-		stop, err := startCPUProfile(*cpuprofile)
-		if err != nil {
-			return err
+		stop, serr := startCPUProfile(*cpuprofile)
+		if serr != nil {
+			return serr
 		}
 		defer func() {
 			if serr := stop(); err == nil {
@@ -106,8 +108,12 @@ func run(args []string, out io.Writer) (err error) {
 		}()
 	}
 	if *memprofile != "" {
+		write, merr := createAllocProfile(*memprofile)
+		if merr != nil {
+			return merr
+		}
 		defer func() {
-			if merr := writeAllocProfile(*memprofile); err == nil {
+			if merr := write(); err == nil {
 				err = merr
 			}
 		}()
@@ -206,22 +212,26 @@ func startCPUProfile(path string) (stop func() error, err error) {
 	}, nil
 }
 
-// writeAllocProfile writes the allocation profile (every allocation
-// since the process started, plus the live heap after a GC) to path.
-func writeAllocProfile(path string) error {
+// createAllocProfile creates path up front, so an unwritable path fails
+// before the run, and returns the function that writes the allocation
+// profile (every allocation since the process started, plus the live
+// heap after a GC) into it and closes it.
+func createAllocProfile(path string) (write func() error, err error) {
 	f, err := os.Create(path)
 	if err != nil {
-		return fmt.Errorf("-memprofile: %w", err)
+		return nil, fmt.Errorf("-memprofile: %w", err)
 	}
-	runtime.GC()
-	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-		f.Close()
-		return fmt.Errorf("-memprofile: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("-memprofile: %w", err)
-	}
-	return nil
+	return func() error {
+		runtime.GC()
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			f.Close()
+			return fmt.Errorf("-memprofile: %w", err)
+		}
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("-memprofile: %w", err)
+		}
+		return nil
+	}, nil
 }
 
 // runCampaignFile executes a declarative campaign spec, streaming each

@@ -288,12 +288,14 @@ func TestProfileFlags(t *testing.T) {
 			t.Fatalf("%s is not a gzipped pprof profile (%d bytes)", filepath.Base(path), len(data))
 		}
 	}
-	bad := filepath.Join(dir, "missing", "cpu.pprof")
-	var out strings.Builder
-	if err := run([]string{"-table", "2", "-cpuprofile", bad}, &out); err == nil || !strings.Contains(err.Error(), "-cpuprofile") {
-		t.Fatalf("unwritable -cpuprofile: err = %v", err)
-	}
-	if out.Len() != 0 {
-		t.Fatalf("run started despite the unwritable profile path:\n%s", out.String())
+	bad := filepath.Join(dir, "missing", "x.pprof")
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		var out strings.Builder
+		if err := run([]string{"-table", "2", flag, bad}, &out); err == nil || !strings.Contains(err.Error(), flag) {
+			t.Fatalf("unwritable %s: err = %v", flag, err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("run started despite the unwritable %s path:\n%s", flag, out.String())
+		}
 	}
 }

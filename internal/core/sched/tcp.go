@@ -45,15 +45,22 @@ type wireResponse struct {
 // Wire-robustness defaults. Clients bound every round trip with an I/O
 // deadline and retry transport failures (never application errors) with
 // exponential backoff over a fresh connection; the server drains live
-// connections on Close before force-closing stragglers, drops a
-// connection that stays silent past its idle timeout, and drops one
-// whose frame outgrows MaxFrameBytes.
+// connections on Close before force-closing stragglers, and drops a
+// connection whose frame, once begun, stays incomplete past
+// DefaultFrameTimeout or outgrows MaxFrameBytes.
+//
+// A connection that is quiet between frames stays open: with one
+// connection per application process, Conns is the standalone daemon's
+// load metric, and a process may run its function for as long as it
+// needs between Decide and Report. Accepted connections keep the
+// standard library's default TCP keep-alive, which drops peers that
+// vanish.
 const (
 	DefaultIOTimeout    = 5 * time.Second
 	DefaultDialRetries  = 2
 	DefaultDialBackoff  = 50 * time.Millisecond
 	DefaultDrainTimeout = 5 * time.Second
-	DefaultIdleTimeout  = 2 * time.Minute
+	DefaultFrameTimeout = 30 * time.Second
 )
 
 // MaxFrameBytes caps the bytes the server reads while decoding one
@@ -71,16 +78,13 @@ type TCPServer struct {
 	// DrainTimeout bounds how long Close waits for in-flight frames
 	// before force-closing connections. Zero means DefaultDrainTimeout.
 	DrainTimeout time.Duration
-	// IdleTimeout bounds how long a connection may wait for its next
-	// frame before the server drops it, so an idle or stalled peer
-	// cannot hold a goroutine until Close. Zero means
-	// DefaultIdleTimeout.
-	IdleTimeout time.Duration
 
 	mu     sync.Mutex
 	closed bool
 	conns  map[net.Conn]struct{}
 	wg     sync.WaitGroup
+	// frameTimeout is DefaultFrameTimeout; tests shorten it.
+	frameTimeout time.Duration
 }
 
 // ListenAndServe starts serving the scheduler on addr (e.g.
@@ -91,7 +95,7 @@ func ListenAndServe(addr string, srv *Server) (*TCPServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sched: listen %s: %w", addr, err)
 	}
-	t := &TCPServer{srv: srv, ln: ln, conns: make(map[net.Conn]struct{})}
+	t := &TCPServer{srv: srv, ln: ln, conns: make(map[net.Conn]struct{}), frameTimeout: DefaultFrameTimeout}
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
@@ -172,9 +176,9 @@ func (t *TCPServer) acceptLoop() {
 	}
 }
 
-// serveConn handles one client connection. Each frame is read under a
-// fresh idle deadline and a fresh MaxFrameBytes budget; running out of
-// either ends this connection only.
+// serveConn handles one client connection. Each frame gets a fresh
+// MaxFrameBytes budget and, from its first byte on, the frame timeout;
+// running out of either ends this connection only.
 func (t *TCPServer) serveConn(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -184,12 +188,12 @@ func (t *TCPServer) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 
-	limit := &io.LimitedReader{R: conn}
-	dec := json.NewDecoder(bufio.NewReader(limit))
+	fr := &frameReader{t: t, conn: conn}
+	dec := json.NewDecoder(fr)
 	enc := json.NewEncoder(conn)
+	begun := false
 	for {
-		t.armRead(conn)
-		limit.N = MaxFrameBytes
+		fr.next(begun)
 		var req wireRequest
 		if err := dec.Decode(&req); err != nil {
 			return
@@ -198,25 +202,73 @@ func (t *TCPServer) serveConn(conn net.Conn) {
 		if err := enc.Encode(resp); err != nil {
 			return
 		}
+		// The decoder may already hold the start of the next frame.
+		rest, _ := io.ReadAll(dec.Buffered())
+		begun = framed(rest)
 	}
 }
 
-// armRead sets the read deadline for the connection's next frame: the
-// idle timeout, or — once Close has begun draining — an immediate
-// deadline, so a frame already buffered is still served but the
-// connection never waits for another.
-func (t *TCPServer) armRead(conn net.Conn) {
+// frameReader is the connection as the request decoder reads it. It
+// ends the stream (io.EOF, so the decode fails) once a frame has read
+// MaxFrameBytes, and arms the frame deadline when the frame's first
+// non-space byte arrives.
+type frameReader struct {
+	t     *TCPServer
+	conn  net.Conn
+	left  int  // bytes the current frame may still read
+	armed bool // the frame deadline is set
+}
+
+// next starts a frame: a fresh byte budget, and no read deadline until
+// the frame begins — unless it already has.
+func (r *frameReader) next(begun bool) {
+	r.left = MaxFrameBytes
+	r.armed = begun
+	r.t.armRead(r.conn, begun)
+}
+
+func (r *frameReader) Read(p []byte) (int, error) {
+	if r.left <= 0 {
+		return 0, io.EOF
+	}
+	if len(p) > r.left {
+		p = p[:r.left]
+	}
+	n, err := r.conn.Read(p)
+	r.left -= n
+	if !r.armed && framed(p[:n]) {
+		r.armed = true
+		r.t.armRead(r.conn, true)
+	}
+	return n, err
+}
+
+// framed reports whether b holds any byte of a frame, that is anything
+// but the whitespace between JSON values.
+func framed(b []byte) bool {
+	for _, c := range b {
+		if c != ' ' && c != '\t' && c != '\r' && c != '\n' {
+			return true
+		}
+	}
+	return false
+}
+
+// armRead sets the connection's read deadline: the frame timeout while
+// a frame is partly read, none between frames, and — once Close has
+// begun draining — an immediate one, so a frame already buffered is
+// still served but the connection never waits for another.
+func (t *TCPServer) armRead(conn net.Conn, inFrame bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed {
+	switch {
+	case t.closed:
 		conn.SetReadDeadline(time.Now())
-		return
+	case inFrame:
+		conn.SetReadDeadline(time.Now().Add(t.frameTimeout))
+	default:
+		conn.SetReadDeadline(time.Time{})
 	}
-	idle := t.IdleTimeout
-	if idle <= 0 {
-		idle = DefaultIdleTimeout
-	}
-	conn.SetReadDeadline(time.Now().Add(idle))
 }
 
 // handle dispatches one frame to the scheduler.

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"encoding/json"
 	"errors"
 	"net"
 	"strings"
@@ -385,31 +386,78 @@ func TestTCPServerDropsOversizedFrame(t *testing.T) {
 	}
 }
 
-func TestTCPServerDropsIdleConnection(t *testing.T) {
+// shortFrameTimeout shortens a server's frame timeout for a test.
+func shortFrameTimeout(ts *TCPServer) {
+	ts.mu.Lock()
+	ts.frameTimeout = 50 * time.Millisecond
+	ts.mu.Unlock()
+}
+
+func TestTCPServerDropsStalledFrame(t *testing.T) {
 	srv := NewServer(testTable(t), func() int { return 1 }, nil, nil)
 	ts := startTCP(t, srv)
-	ts.mu.Lock()
-	ts.IdleTimeout = 50 * time.Millisecond
-	ts.mu.Unlock()
+	shortFrameTimeout(ts)
 
-	silent, err := net.Dial("tcp", ts.Addr())
+	stalled, err := net.Dial("tcp", ts.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer silent.Close()
-	waitClosed(t, silent, 5*time.Second)
+	defer stalled.Close()
+	// Half a frame, then nothing: the frame timeout cuts the peer off.
+	if _, err := stalled.Write([]byte(`{"type":"request",`)); err != nil {
+		t.Fatal(err)
+	}
+	waitClosed(t, stalled, 5*time.Second)
+
+	// A whole frame and half of the next in one write: the first is
+	// answered, and the timeout runs for the second from the start, as
+	// it already sits in the server's buffer.
+	pipelined, err := net.Dial("tcp", ts.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipelined.Close()
+	if _, err := pipelined.Write([]byte("{\"type\":\"request\",\"app\":\"app\"}\n{\"type\":")); err != nil {
+		t.Fatal(err)
+	}
+	pipelined.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var resp wireResponse
+	if err := json.NewDecoder(pipelined).Decode(&resp); err != nil || !resp.OK {
+		t.Fatalf("first pipelined frame: %+v, %v", resp, err)
+	}
+	waitClosed(t, pipelined, 5*time.Second)
+
 	deadline := time.Now().Add(5 * time.Second)
 	for ts.Conns() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d connections still registered after the idle timeout", ts.Conns())
+			t.Fatalf("%d connections still registered after the frame timeout", ts.Conns())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
 
-	// A client that goes quiet past the timeout redials transparently.
-	c := dialTCP(t, ts.Addr())
-	time.Sleep(150 * time.Millisecond)
+func TestTCPServerKeepsQuietConnection(t *testing.T) {
+	// A process that runs its function for longer than the frame
+	// timeout between Decide and Report keeps its connection, so the
+	// process-count load (Conns) still counts it.
+	srv := NewServer(testTable(t), func() int { return 1 }, nil, nil)
+	ts := startTCP(t, srv)
+	shortFrameTimeout(ts)
+	c, err := DialConfigured(ts.Addr(), DialConfig{MaxRetries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
 	if _, err := c.Decide("app", "KNL"); err != nil {
-		t.Fatalf("decide after idle drop: %v", err)
+		t.Fatalf("decide: %v", err)
+	}
+	time.Sleep(200 * time.Millisecond)
+	if n := ts.Conns(); n != 1 {
+		t.Fatalf("Conns = %d after a quiet spell, want 1", n)
+	}
+	// No retries: a dropped connection would fail this report.
+	if _, err := c.Report("app", threshold.TargetX86, 3*time.Second); err != nil {
+		t.Fatalf("report over the quiet connection: %v", err)
 	}
 }

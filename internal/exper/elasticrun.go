@@ -79,7 +79,10 @@ func newElasticRuntime(p *Platform, admission *elastic.AdmissionSpec, scaler *el
 	rt.ctrl = elastic.NewController(scaler, len(rt.entries))
 	// Drain everything beyond the initial size: the host plus the
 	// lowest-indexed entry nodes up to MinNodes stay active, the rest
-	// join by decision, not schedule.
+	// join by decision, not schedule. The flags are written directly,
+	// not through setInactive: the platform's eligibility gate reads
+	// them only once this runtime is installed, and serving re-keys
+	// every entry node then.
 	active := rt.ctrl.Size()
 	for _, n := range rt.entries {
 		if n == p.Cluster.X86 {
@@ -109,8 +112,8 @@ func newElasticRuntime(p *Platform, admission *elastic.AdmissionSpec, scaler *el
 // testLatencySink.
 var debugElasticSample func(now time.Duration, smp elastic.Sample)
 
-// setInactive drains (or rejoins) an entry node and marks its key in
-// the platform's entry index stale.
+// setInactive drains (or rejoins) an entry node and re-keys it in the
+// platform's entry index.
 func (rt *elasticRuntime) setInactive(n *cluster.Node, inactive bool) {
 	rt.inactive[n.Index] = inactive
 	rt.p.markEntry(n)

@@ -8,15 +8,12 @@ import (
 
 // entryIndex is the serving front end's view of the x86 entry tier as
 // data: a min-index over the x86 nodes in fleet order, keyed by each
-// node's nodeLoad plus the requests the current same-instant batch has
+// node's entryLoad plus the requests the current same-instant batch has
 // already placed there (sched.Unavailable for a node that accepts no
-// arrivals). Every input of the key marks its node stale when it
-// changes — the node's run queue (PSServer observer), the processes
-// blocked on a decision, the FIFO gate's queue, the batch counts, and
-// fault and autoscaler eligibility — and a pick first re-keys the
-// stale nodes, so the least-loaded pick is the index's root instead of
-// a scan per arrival, and a node whose queue moves several times
-// between two arrivals is re-keyed once.
+// arrivals). Every input of the key re-keys its node when it changes —
+// the node's run queue (PSServer observer), the FIFO gate's queue, the
+// batch counts, and fault and autoscaler eligibility — so the
+// least-loaded pick is the index's root instead of a scan per arrival.
 type entryIndex struct {
 	index sched.MinIndex
 	// nodes is the x86 tier in fleet order (index positions); pos maps
@@ -24,10 +21,6 @@ type entryIndex struct {
 	// nodes).
 	nodes []*cluster.Node
 	pos   []int
-	// stale flags, per node index, a key whose inputs changed since
-	// the last pick; queue lists the flagged nodes.
-	stale []bool
-	queue []int
 	// assigned counts, per node index, the requests the injector has
 	// placed during the current same-instant batch; touched lists the
 	// nodes with a nonzero count so the batch reset is O(touched).
@@ -41,7 +34,6 @@ func newEntryIndex(c *cluster.Cluster) entryIndex {
 		index:    sched.NewMinIndex(len(x86)),
 		nodes:    x86,
 		pos:      make([]int, len(c.Nodes)),
-		stale:    make([]bool, len(c.Nodes)),
 		assigned: make([]int, len(c.Nodes)),
 	}
 	for i := range e.pos {
@@ -53,18 +45,22 @@ func newEntryIndex(c *cluster.Cluster) entryIndex {
 	return e
 }
 
-// markEntry flags an entry node's key as stale after one of its inputs
-// changed; the next pick re-keys it. Non-x86 nodes are ignored.
+// markEntry re-keys an entry node after one of its key's inputs
+// changed. Non-x86 nodes are ignored.
 func (p *Platform) markEntry(n *cluster.Node) {
 	e := &p.entries
-	if e.pos[n.Index] < 0 || e.stale[n.Index] {
+	pos := e.pos[n.Index]
+	if pos < 0 {
 		return
 	}
-	e.stale[n.Index] = true
-	e.queue = append(e.queue, n.Index)
+	key := sched.Unavailable
+	if p.entryEligible(n) {
+		key = p.entryLoad(n) + e.assigned[n.Index]
+	}
+	e.index.Set(pos, key)
 }
 
-// markEntries flags every entry node (after a runtime that gates
+// markEntries re-keys every entry node (after a runtime that gates
 // eligibility is installed).
 func (p *Platform) markEntries() {
 	for _, n := range p.entries.nodes {
@@ -73,29 +69,18 @@ func (p *Platform) markEntries() {
 }
 
 // leastLoadedX86 picks the entry node the serving front end assigns an
-// arriving request to: least loaded (including processes blocked on a
-// decision and the current batch's same-instant placements), ties
-// toward the lower index, among the nodes that accept arrivals.
+// arriving request to: least loaded (including the current batch's
+// same-instant placements), ties toward the lower index, among the
+// nodes that accept arrivals.
 func (p *Platform) leastLoadedX86() *cluster.Node {
-	e := &p.entries
-	for _, idx := range e.queue {
-		e.stale[idx] = false
-		n := p.Cluster.Nodes[idx]
-		key := sched.Unavailable
-		if p.entryEligible(n) {
-			key = p.nodeLoad(n) + e.assigned[idx]
-		}
-		e.index.Set(e.pos[idx], key)
-	}
-	e.queue = e.queue[:0]
-	pos, key := e.index.Min()
+	pos, key := p.entries.index.Min()
 	if key == sched.Unavailable {
 		// Every x86 node is crashed or draining: the scheduler host
 		// (which fault validation keeps alive) absorbs arrivals even
 		// while draining, so the front end never wedges.
 		return p.Cluster.X86
 	}
-	return e.nodes[pos]
+	return p.entries.nodes[pos]
 }
 
 // assignEntry counts one same-instant placement on an entry node.

@@ -275,10 +275,18 @@ func (p *Platform) preloadPinnedImages(images []*xclbin.XCLBIN) {
 }
 
 // nodeLoad samples the paper's process-count metric on one x86 node:
-// processes in its run queue, plus any queued behind FIFO cores (host
-// only), plus processes blocked on a scheduling decision there.
+// its entryLoad plus the processes blocked on a scheduling decision
+// there.
 func (p *Platform) nodeLoad(n *cluster.Node) int {
-	load := n.Load() + p.deciding[n.Index]
+	return p.entryLoad(n) + p.deciding[n.Index]
+}
+
+// entryLoad is nodeLoad without the processes blocked on a decision:
+// those in the node's run queue plus any queued behind FIFO cores (host
+// only). The entry index keys on it, because deciding is non-zero only
+// inside a DecideClass call, which never picks an entry node.
+func (p *Platform) entryLoad(n *cluster.Node) int {
+	load := n.Load()
 	if p.fifo != nil && n == p.Cluster.X86 {
 		load += len(p.fifo.queue)
 	}

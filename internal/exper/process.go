@@ -538,10 +538,8 @@ func (p *Platform) execXarTrek(rq *reqCtx, entry *cluster.Node, app *workloads.A
 	// while it waits for the decision; that node's load counts it (the
 	// paper's load metric counts processes, not runnable jobs).
 	p.deciding[entry.Index]++
-	p.markEntry(entry)
 	d, err := p.serverFor(entry).DecideClass(app.Name, app.KernelName, class)
 	p.deciding[entry.Index]--
-	p.markEntry(entry)
 	if err != nil {
 		p.execX86(rq, entry, app, finish)
 		return
